@@ -15,9 +15,10 @@ classic multi-year measurement studies. Each wave:
 3. **executes** the changed cells through the ordinary runtime
    dispatcher (:func:`repro.runtime.executor.dispatch_shards` — every
    backend: serial, process, async, distributed; per-wave shard
-   checkpoints and ``resume``), shipping workers a
-   :class:`~repro.synth.churn.WaveScenario` so they can rebuild the
-   evolved world;
+   checkpoints and ``resume``), keyed by a
+   :class:`~repro.synth.churn.WaveScenario`: process-pool workers
+   adopt the coordinator's evolved world under it, and distributed
+   workers rebuild the evolved world from it;
 4. **merges** replayed + fresh cells through the runtime's canonical
    merge, producing a wave logbook byte-identical to a from-scratch
    re-collection of the evolved world (enforced by

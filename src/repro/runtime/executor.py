@@ -23,15 +23,27 @@ the backend:
   fleet-wide per-ISP concurrency never exceeds the cap *exactly as in
   the serial case*.
 
-Worker processes do not receive the (multi-megabyte) world over the
-pipe; they rebuild it from the :class:`~repro.synth.scenario
-.ScenarioConfig`, which is deterministic in the seed, and cache it per
-process so an N-shard run builds the world at most once per worker.
+Process-pool workers never rebuild the world: each adopts the
+coordinator's already-built world once, when it starts. The pool's start
+method is pinned (``fork`` on Linux, where workers inherit the world
+copy-on-write and nothing is pickled; ``spawn`` elsewhere, where the
+world is pickled once per worker), never the platform default. The
+coordinator's heap is frozen out of garbage collection while the pool
+runs (:func:`gc.freeze`), so a forked worker's collections never walk,
+and so never copy, the inherited world. Shard
+tasks still carry only the world's recipe (a
+:class:`~repro.synth.scenario.ScenarioConfig` or a
+:class:`~repro.synth.churn.WaveScenario`), which keys the adopted world.
+Only distributed workers, separate interpreters, rebuild the world from
+that recipe, once per worker.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
+import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable
@@ -247,8 +259,9 @@ class ShardResult:
     politeness: dict[str, int] = field(default_factory=dict)
 
 
-# Per-process world cache for pool workers: rebuilding the world is the
-# expensive part of a shard, and every shard of one campaign shares it.
+# Per-process world for shards that arrive without one. Pool workers
+# adopt the coordinator's world here before their first shard
+# (_adopt_world); only distributed workers miss and rebuild it, once.
 # Keys are ScenarioConfig or any hashable recipe with a .realize()
 # (repro.synth.churn.WaveScenario — evolved panel-wave worlds).
 _WORLD_CACHE: dict = {}
@@ -257,10 +270,28 @@ _WORLD_CACHE: dict = {}
 def _world_for(scenario) -> World:
     if scenario not in _WORLD_CACHE:
         _WORLD_CACHE.clear()  # one campaign's world at a time per worker
-        realize = getattr(scenario, "realize", None)
-        _WORLD_CACHE[scenario] = (realize() if realize is not None
-                                  else build_world(scenario))
+        with span("shard.world"):
+            realize = getattr(scenario, "realize", None)
+            _WORLD_CACHE[scenario] = (realize() if realize is not None
+                                      else build_world(scenario))
     return _WORLD_CACHE[scenario]
+
+
+def _adopt_world(scenario, world: World) -> None:
+    """Pool-worker initializer: serve ``scenario`` from ``world``."""
+    _WORLD_CACHE.clear()
+    _WORLD_CACHE[scenario] = world
+
+
+def _pool_context():
+    """The process pool's start method, pinned rather than defaulted.
+
+    ``fork`` on Linux lets workers inherit the coordinator's world
+    copy-on-write; elsewhere ``spawn`` (pickling the world once per
+    worker) is the only method every platform supports safely.
+    """
+    method = "fork" if sys.platform.startswith("linux") else "spawn"
+    return multiprocessing.get_context(method)
 
 
 def run_shard(
@@ -276,12 +307,13 @@ def run_shard(
 ) -> ShardResult:
     """Run one shard's cells to completion.
 
-    Top-level (picklable) so it can be submitted to a process pool;
-    the serial backend calls it directly with the already-built
-    ``world`` to skip the rebuild. With ``use_async`` the shard's
-    cells interleave on a fresh event loop (bounded by
-    ``max_inflight`` total and ``per_isp_cap`` per storefront) —
-    producing the same records, reassembled in canonical cell order.
+    Top-level (picklable) so it can be submitted to a process pool,
+    whose workers find ``scenario``'s world already adopted; the
+    serial backend passes its already-built ``world``. With
+    ``use_async`` the shard's cells interleave on a fresh event loop
+    (bounded by ``max_inflight`` total and ``per_isp_cap`` per
+    storefront) — producing the same records, reassembled in canonical
+    cell order.
     """
     world = world if world is not None else _world_for(scenario)
     with span("shard.run", index=spec.index,
@@ -361,17 +393,27 @@ def _run_shards_process(
     on_complete,
     scenario,
 ) -> None:
-    with ProcessPoolExecutor(max_workers=config.effective_workers) as pool:
-        futures = [
-            pool.submit(run_shard, scenario, spec, policy,
-                        engine_config, max_replacements,
-                        use_async=config.uses_async,
-                        max_inflight=config.effective_max_inflight,
-                        per_isp_cap=per_isp_cap)
-            for spec in pending
-        ]
-        for future in as_completed(futures):
-            on_complete(future.result())
+    # Forked workers share the world's pages copy-on-write, and a full
+    # collection touches every tracked object: frozen, the world stays
+    # shared and out of every worker's (and the coordinator's) sweeps.
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(max_workers=config.effective_workers,
+                                 mp_context=_pool_context(),
+                                 initializer=_adopt_world,
+                                 initargs=(scenario, world)) as pool:
+            futures = [
+                pool.submit(run_shard, scenario, spec, policy,
+                            engine_config, max_replacements,
+                            use_async=config.uses_async,
+                            max_inflight=config.effective_max_inflight,
+                            per_isp_cap=per_isp_cap)
+                for spec in pending
+            ]
+            for future in as_completed(futures):
+                on_complete(future.result())
+    finally:
+        gc.unfreeze()
 
 
 def dispatch_shards(
@@ -389,8 +431,9 @@ def dispatch_shards(
     The execution core shared by :func:`execute_campaign` and the
     longitudinal delta collector (:mod:`repro.longitudinal.campaign`),
     which runs arbitrary *subsets* of a campaign's cells. ``scenario``
-    is the world recipe shipped to worker processes; it defaults to
-    ``world.config`` and must be overridden (with a
+    is the world's recipe: process-pool workers adopt ``world`` under
+    it, and distributed workers rebuild the world from it. It defaults
+    to ``world.config`` and must be overridden (with a
     :class:`~repro.synth.churn.WaveScenario`) when ``world`` is an
     evolved wave world that its config alone cannot rebuild.
 

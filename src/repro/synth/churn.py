@@ -173,14 +173,15 @@ def churned_world(
 class WaveScenario:
     """One panel wave's world, as a rebuildable recipe.
 
-    The runtime's process and distributed backends rebuild worlds from
-    the scenario they are handed (workers never receive the
-    multi-megabyte world object over the pipe). An evolved wave world
-    keeps its base :class:`~repro.synth.scenario.ScenarioConfig`, which
-    alone cannot reproduce it — so this wrapper carries the full
-    recipe: base scenario, churn model, and the horizon in years.
-    :meth:`realize` replays it deterministically; the executor's
-    per-process world cache calls it exactly like ``build_world``.
+    Shard tasks carry a world's recipe, never the world. Process-pool
+    workers key the coordinator's adopted world by it; distributed
+    workers, separate interpreters, rebuild the world from it. An
+    evolved wave world keeps its base
+    :class:`~repro.synth.scenario.ScenarioConfig`, which alone cannot
+    reproduce it — so this wrapper carries the full recipe: base
+    scenario, churn model, and the horizon in years. :meth:`realize`
+    replays it deterministically; the executor's per-process world
+    cache calls it exactly like ``build_world``.
     """
 
     base: ScenarioConfig

@@ -5,7 +5,7 @@ re-collection, byte for byte) live in tests/test_equivalence_harness.py
 with the backend matrix; this file covers the subsystem's own
 mechanics: digest stability, delta planning, fold/merge conservation,
 wave resume (checkpoints and the panel store), the wave-scenario
-recipe workers rebuild evolved worlds from, and the persisted autotune
+recipe that keys evolved worlds for workers, and the persisted autotune
 plan.
 """
 
@@ -490,8 +490,8 @@ class TestWaveScenario:
 
 class TestProcessBackendRealizesWaves:
     def test_process_delta_matches_serial(self, world):
-        """Process-pool workers rebuild the evolved wave world from the
-        WaveScenario recipe — their records must match the in-process
+        """Process-pool workers serve the evolved wave world under its
+        WaveScenario key — their records must match the in-process
         serial path byte for byte."""
         serial = PanelCampaign(world, model=SPARSE, horizons=(1,),
                                **SUBSET).run()

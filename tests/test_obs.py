@@ -464,6 +464,29 @@ class TestTracingByteEquivalence:
                 f"under REPRO_TRACE=1")
 
 
+class TestWorldSpan:
+    def test_distributed_world_rebuild_is_its_own_span(
+            self, world, tmp_path, monkeypatch):
+        """Distributed workers are fresh interpreters that rebuild the
+        world; each rebuild is a ``shard.world`` span on the worker's
+        site, visible to ``repro trace critical-path`` rather than
+        hidden inside ``shard.run``."""
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
+        execute_campaign(
+            world, RuntimeConfig(shards=2, workers=2, backend="distributed"),
+            **SUBSET)
+        fingerprint = campaign_fingerprint(
+            world.config, None, SUBSET["isps"], 2,
+            states=SUBSET["states"], q3_states=SUBSET["q3_states"])
+        spans = TraceStore(tmp_path, fingerprint).load_spans()
+        rebuilds = [r["site"] for r in spans if r["name"] == "shard.world"]
+        assert rebuilds
+        assert all(site.startswith("worker-") for site in rebuilds)
+        # One rebuild per worker, however many shards it ran.
+        assert len(set(rebuilds)) == len(rebuilds)
+
+
 # ----------------------------------------------------------------------
 # chaos: a killed worker still stitches into ONE tree
 # ----------------------------------------------------------------------

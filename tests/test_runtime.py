@@ -8,11 +8,17 @@ resume and the audit cache are then tested against that same baseline.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+
 import pytest
 
+import repro.runtime.executor as executor_module
+from harness.equivalence import canonical_logbook_bytes
 from repro.bqt.campaign import MAX_POLITE_WORKERS_PER_ISP
 from repro.core.collection import CollectionCampaign, collect_q3_dataset
 from repro.core.pipeline import run_full_audit
+from repro.longitudinal import PanelCampaign
 from repro.persist import StudyStore
 from repro.runtime import (
     AuditCache,
@@ -26,6 +32,7 @@ from repro.runtime import (
     run_shard,
 )
 from repro.runtime.shards import ShardSpec
+from repro.synth.churn import ChurnModel, WaveScenario
 
 # A deliberately small slice of the campaign for the tests that rerun
 # it several times (resume, process backend).
@@ -672,3 +679,93 @@ class TestPendingAwareBudget:
             cap = config.per_shard_isp_cap_for(pending)
             assert cap * min(config.concurrent_shards, max(1, pending)) \
                 <= MAX_POLITE_WORKERS_PER_ISP
+
+
+def _run_shard_frozen(*args, **kwargs):
+    """``run_shard`` for pool workers whose inherited heap must be
+    frozen out of garbage collection (module level, so it pickles)."""
+    if gc.get_freeze_count() == 0:
+        raise AssertionError("a forked pool worker's heap is not frozen")
+    return run_shard(*args, **kwargs)
+
+
+class TestPoolWorldHandoff:
+    """Pool workers adopt the coordinator's world instead of rebuilding.
+
+    The coordinator has already built (or evolved) the world, so a
+    pool worker that builds one again pays the whole world build before
+    its first shard. With every rebuild path made to raise, pooled
+    campaigns must still equal the serial backend byte for byte.
+    """
+
+    @pytest.fixture
+    def no_rebuild(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool worker rebuilt the world")
+
+        # An empty coordinator cache, so forked workers cannot inherit
+        # a world some earlier test left behind.
+        monkeypatch.setattr(executor_module, "_WORLD_CACHE", {})
+        monkeypatch.setattr(executor_module, "build_world", refuse)
+        monkeypatch.setattr(WaveScenario, "realize", refuse)
+
+    @pytest.fixture(scope="class")
+    def serial_bytes(self, world):
+        return canonical_logbook_bytes(*execute_campaign(
+            world, RuntimeConfig(shards=2, backend="serial"), **SUBSET))
+
+    @pytest.mark.parametrize("backend", ["process", "process+async"])
+    def test_pool_workers_never_rebuild(self, world, serial_bytes,
+                                        no_rebuild, backend):
+        pooled = execute_campaign(
+            world, RuntimeConfig(shards=2, workers=2, backend=backend),
+            **SUBSET)
+        assert canonical_logbook_bytes(*pooled) == serial_bytes
+
+    @pytest.mark.skipif(
+        executor_module._pool_context().get_start_method() != "fork",
+        reason="only forked workers inherit the coordinator's heap")
+    def test_forked_workers_inherit_a_frozen_world(self, world, serial_bytes,
+                                                  monkeypatch):
+        """A forked worker's collections must skip the inherited world
+        (walking it would copy every shared page), and the coordinator's
+        heap is unfrozen again once the pool is gone."""
+        monkeypatch.setattr(executor_module, "run_shard", _run_shard_frozen)
+        frozen_before = gc.get_freeze_count()
+        pooled = execute_campaign(
+            world, RuntimeConfig(shards=2, workers=2, backend="process"),
+            **SUBSET)
+        assert canonical_logbook_bytes(*pooled) == serial_bytes
+        assert gc.get_freeze_count() == frozen_before == 0
+
+    def test_spawned_workers_unpickle_the_world(self, world, serial_bytes,
+                                                monkeypatch):
+        monkeypatch.setattr(executor_module, "_pool_context",
+                            lambda: multiprocessing.get_context("spawn"))
+        pooled = execute_campaign(
+            world, RuntimeConfig(shards=2, workers=2, backend="process"),
+            **SUBSET)
+        assert canonical_logbook_bytes(*pooled) == serial_bytes
+
+    def test_delta_wave_workers_adopt_the_evolved_world(
+            self, world, no_rebuild, monkeypatch):
+        pool_runs: list[int] = []
+        run_pool = executor_module._run_shards_process
+
+        def counted(world, pending, *args):
+            pool_runs.append(len(pending))
+            return run_pool(world, pending, *args)
+
+        monkeypatch.setattr(executor_module, "_run_shards_process", counted)
+        churn = ChurnModel()  # enough changed cells for two shards
+        serial = PanelCampaign(world, model=churn, horizons=(1,),
+                               **SUBSET).run()
+        pooled = PanelCampaign(
+            world, model=churn, horizons=(1,),
+            runtime=RuntimeConfig(backend="process", shards=2, workers=2),
+            **SUBSET).run()
+        # Wave 0 and the delta wave both ran two shards on the pool.
+        assert pool_runs == [2, 2]
+        for left, right in zip(serial, pooled, strict=True):
+            assert canonical_logbook_bytes(left.collection, left.q3) \
+                == canonical_logbook_bytes(right.collection, right.q3)
