@@ -34,9 +34,9 @@ from repro.analysis.incremental import (
     row_cache_for,
     wave_analysis,
 )
+from repro.codec import shard_to_json
 from repro.core.collection import CollectionCampaign, collect_q3_dataset
 from repro.longitudinal import PanelCampaign
-from repro.runtime.checkpoint import _shard_to_json
 from repro.synth.churn import ChurnModel, churned_world
 
 CELL_RATES = (0.05, 0.10, 0.30)
@@ -95,7 +95,7 @@ def _v1_wave_bytes(outcome) -> int:
     """The bytes the format-1 store wrote for one wave: a single
     document embedding every cell's records (as the pre-CAS layout's
     double-encoded string payload)."""
-    cell_payload = json.dumps(_shard_to_json(outcome.cells),
+    cell_payload = json.dumps(shard_to_json(outcome.cells),
                               sort_keys=True, separators=(",", ":"))
     import hashlib
 

@@ -16,7 +16,7 @@ reserve, and unsampled addresses alike — because replacement draws can
 reach any reserve address; over-approximating "changed" costs a
 redundant re-query, never a stale replay.
 
-Serialization reuses the checkpoint codec's plan JSON, whose floats
+Serialization reuses the :mod:`repro.codec` plan JSON, whose floats
 round-trip by shortest ``repr`` — so digest equality really is truth
 equality.
 """
@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.codec import plan_to_json
 from repro.core.collection import q3_block_candidates
 from repro.isp.deployment import ServiceTruth
 from repro.runtime.cache import content_digest
-from repro.runtime.checkpoint import _plan_to_json
 from repro.runtime.shards import DEFAULT_ISPS, Q12Cell, enumerate_q12_cells
 from repro.synth.world import World
 
@@ -47,7 +47,7 @@ def _truth_digest_payload(truth: ServiceTruth) -> dict:
     # (hence not named *_to_json — there is deliberately no inverse).
     return {
         "serves": truth.serves,
-        "plans": [_plan_to_json(plan) for plan in truth.plans],
+        "plans": [plan_to_json(plan) for plan in truth.plans],
         "existing_subscriber": truth.existing_subscriber,
         "tier_label": truth.tier_label,
     }

@@ -15,15 +15,14 @@ Format 2 splits each wave document in two:
   :class:`~repro.runtime.executor.ShardResult` from the CAS in
   manifest order.
 
-Every file is integrity-checked on load — cell payloads carry their
-:func:`~repro.runtime.cache.content_digest`, manifests checksum their
-reference list — and any damage (torn file, missing cell, foreign
-fingerprint, skewed format) makes the wave a miss that recomputes,
-never a crash or a silent wrong replay. Writes use the shared atomic
-tmp-then-rename primitive. Format-1 wave documents (the pre-CAS
-layout, whose ``cells`` payload was embedded as one double-encoded
-JSON string) stay loadable read-only, so an existing panel upgrades
-in place; new waves are always written as format 2.
+Cell payloads are the :mod:`repro.codec` cell JSON plus a ``kind``
+tag. Every file is integrity-checked on load — cell payloads carry
+their :func:`~repro.runtime.cache.content_digest`, manifests checksum
+their reference list — and any damage (torn file, missing cell,
+foreign fingerprint, a format other than 2, the pre-CAS format 1
+included) makes the wave a miss that recomputes, never a crash or a
+silent wrong replay. Writes use the shared atomic tmp-then-rename
+primitive.
 
 Cell files can be orphaned — a crash between publishing a wave's CAS
 entries and its manifest, a manifest damaged beyond recognition, or a
@@ -41,22 +40,22 @@ root without clobbering each other.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.codec import (
+    q3_block_from_json,
+    q3_block_to_json,
+    q12_cell_from_json,
+    q12_cell_to_json,
+)
 from repro.runtime.atomicio import (
     atomic_write_json,
     atomic_write_text,
     sweep_stale_tmp_files,
 )
 from repro.runtime.cache import content_digest
-from repro.runtime.checkpoint import (
-    _record_from_json,
-    _record_to_json,
-    _shard_from_json,
-)
 from repro.runtime.storebase import FingerprintNamespacedStore
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,45 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["PanelStore"]
 
 FORMAT_VERSION = 2
-# Format-1 documents (one self-contained JSON per wave) load read-only.
-_LEGACY_FORMAT_VERSION = 1
 _CELLS_SUBDIR = "cells"
-
-
-def _q12_payload(cell, records) -> dict:
-    return {
-        "kind": "q12",
-        "isp_id": cell.isp_id,
-        "state": cell.state,
-        "cbg": cell.cbg,
-        "records": [_record_to_json(r) for r in records],
-    }
-
-
-def _q3_payload(block: str, outcome) -> dict:
-    return {
-        "kind": "q3",
-        "block_geoid": block,
-        "outcome": None if outcome is None else {
-            "incumbent_isp_id": outcome.incumbent_isp_id,
-            "records": [_record_to_json(r) for r in outcome.records],
-            "modes": outcome.modes,
-        },
-    }
-
-
-def _q3_outcome_from_payload(payload: dict):
-    from repro.core.collection import Q3BlockOutcome
-
-    outcome = payload["outcome"]
-    if outcome is None:
-        return None
-    return Q3BlockOutcome(
-        block_geoid=payload["block_geoid"],
-        incumbent_isp_id=outcome["incumbent_isp_id"],
-        records=tuple(_record_from_json(r) for r in outcome["records"]),
-        modes=dict(outcome["modes"]),
-    )
 
 
 class PanelStore(FingerprintNamespacedStore):
@@ -163,13 +124,15 @@ class PanelStore(FingerprintNamespacedStore):
         self.cells_directory.mkdir(parents=True, exist_ok=True)
         q12_refs = []
         for cell, digest in digests.q12.items():
-            self._publish_cell(digest,
-                               _q12_payload(cell, cells.q12_records[cell]))
+            self._publish_cell(digest, {
+                "kind": "q12",
+                **q12_cell_to_json(cell, cells.q12_records[cell])})
             q12_refs.append([cell.isp_id, cell.state, cell.cbg, digest])
         q3_refs = []
         for block, digest in digests.q3.items():
-            self._publish_cell(digest,
-                               _q3_payload(block, cells.q3_outcomes[block]))
+            self._publish_cell(digest, {
+                "kind": "q3",
+                **q3_block_to_json(block, cells.q3_outcomes[block])})
             q3_refs.append([block, digest])
         refs = {"q12": q12_refs, "q3": q3_refs}
         document = {
@@ -192,11 +155,10 @@ class PanelStore(FingerprintNamespacedStore):
     # ------------------------------------------------------------------
 
     def _load_manifest(self, wave: int) -> dict | None:
-        """One wave's parsed manifest (format 1 or 2), or ``None``."""
+        """One wave's parsed manifest, or ``None``."""
         document = self._owned_document(self.wave_path(wave))
         if (document is None
-                or document.get("format") not in (FORMAT_VERSION,
-                                                  _LEGACY_FORMAT_VERSION)
+                or document.get("format") != FORMAT_VERSION
                 or document.get("wave") != wave):
             return None
         return document
@@ -236,7 +198,6 @@ class PanelStore(FingerprintNamespacedStore):
 
     def _assemble_from_cas(self, document: dict) -> "ShardResult | None":
         from repro.runtime.executor import ShardResult
-        from repro.runtime.shards import Q12Cell
 
         refs = document.get("cells")
         if (not isinstance(refs, dict)
@@ -257,9 +218,8 @@ class PanelStore(FingerprintNamespacedStore):
                     # existing file and the wave could never heal.
                     self.cell_path(digest).unlink(missing_ok=True)
                     return None
-                cell = Q12Cell(isp_id=isp_id, state=state, cbg=cbg)
-                result.q12_records[cell] = tuple(
-                    _record_from_json(r) for r in payload["records"])
+                cell, records = q12_cell_from_json(payload)
+                result.q12_records[cell] = records
             for block, digest in refs["q3"]:
                 payload = self._load_cell_payload(digest)
                 if payload is None:
@@ -268,24 +228,11 @@ class PanelStore(FingerprintNamespacedStore):
                         or payload["block_geoid"] != block):
                     self.cell_path(digest).unlink(missing_ok=True)
                     return None
-                result.q3_outcomes[block] = _q3_outcome_from_payload(payload)
+                _, outcome = q3_block_from_json(payload)
+                result.q3_outcomes[block] = outcome
         except (KeyError, TypeError, ValueError):
             return None
         return result
-
-    @staticmethod
-    def _assemble_legacy(document: dict) -> "ShardResult | None":
-        """Format 1: the whole wave embedded as one JSON *string* (the
-        double-encoded pre-CAS layout), checksummed over those bytes."""
-        cell_payload = document.get("cells")
-        if (not isinstance(cell_payload, str)
-                or hashlib.sha256(cell_payload.encode("utf-8")).hexdigest()
-                != document.get("cells_sha256")):
-            return None
-        try:
-            return _shard_from_json(json.loads(cell_payload))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            return None
 
     def load_wave(
         self, wave: int
@@ -294,21 +241,17 @@ class PanelStore(FingerprintNamespacedStore):
 
         ``None`` covers every way the wave can be unusable — missing,
         torn, checksum-mismatched, foreign fingerprint, a missing or
-        damaged CAS entry, or an unknown format version — so callers
+        damaged CAS entry, or any format version but 2 — so callers
         simply recompute.
         """
         document = self._load_manifest(wave)
         if document is None:
             return None
-        if document["format"] == _LEGACY_FORMAT_VERSION:
-            cells = self._assemble_legacy(document)
-        else:
-            cells = self._assemble_from_cas(document)
+        cells = self._assemble_from_cas(document)
         if cells is None:
             return None
         manifest = {
             "wave": wave,
-            "format": document["format"],
             "horizon_years": document.get("horizon_years"),
             "counts": dict(document.get("counts", {})),
         }
@@ -335,7 +278,7 @@ class PanelStore(FingerprintNamespacedStore):
         referenced: set[str] = set()
         for wave in self.waves():
             document = self._load_manifest(wave)
-            if document is None or document["format"] != FORMAT_VERSION:
+            if document is None:
                 continue
             refs = document.get("cells")
             if (not isinstance(refs, dict)

@@ -22,11 +22,10 @@ leave the store readable no matter where the writer dies:
   corrupt, missing, or stale, :meth:`CheckpointStore.load_completed`
   rebuilds it from the intact shard files and heals it on disk.
 
-The on-disk layout is an extension of the
-:class:`~repro.persist.store.StudyStore` directory format — shard
-files live in a ``shards/`` subdirectory and reuse the store's SHA-256
-content checksums — so ``StudyStore(path).checkpoints(fingerprint)``
-opens the same data.
+Shard files hold the :mod:`repro.codec` shard JSON and reuse the
+:class:`~repro.persist.store.StudyStore` SHA-256 file checksums. A
+layout this store does not recognize (such as the pre-1.3 root-level
+files) is simply not found, and its shards recompute.
 """
 
 from __future__ import annotations
@@ -37,17 +36,14 @@ import warnings
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.bqt.errors import ErrorCategory
-from repro.bqt.logbook import QueryRecord
-from repro.bqt.responses import QueryStatus
-from repro.core.collection import Q3BlockOutcome
+from repro.codec import shard_from_json, shard_to_json
+# perfbench/probe.py imports this name from here; keep it importable.
+from repro.codec import record_to_json as _record_to_json  # noqa: F401
 from repro.core.sampling import SamplingPolicy
-from repro.isp.plans import BroadbandPlan
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.persist.store import _sha256
 from repro.runtime.atomicio import atomic_write_text, sweep_stale_tmp_files
 from repro.runtime.cache import content_digest
-from repro.runtime.shards import Q12Cell
 from repro.runtime.storebase import FingerprintNamespacedStore
 from repro.synth.scenario import ScenarioConfig
 
@@ -84,109 +80,6 @@ def campaign_fingerprint(
         "max_replacements": max_replacements,
         "shard_count": shard_count,
     })
-
-
-# ----------------------------------------------------------------------
-# JSON codecs (exact round-trip: enums by value, floats via repr)
-# ----------------------------------------------------------------------
-
-def _plan_to_json(plan: BroadbandPlan) -> dict:
-    return {
-        "name": plan.name,
-        "download_mbps": plan.download_mbps,
-        "upload_mbps": plan.upload_mbps,
-        "monthly_price_usd": plan.monthly_price_usd,
-        "technology": plan.technology,
-        "is_speed_guaranteed": plan.is_speed_guaranteed,
-    }
-
-
-def _plan_from_json(data: dict) -> BroadbandPlan:
-    return BroadbandPlan(**data)
-
-
-def _record_to_json(record: QueryRecord) -> dict:
-    return {
-        "isp_id": record.isp_id,
-        "address_id": record.address_id,
-        "block_geoid": record.block_geoid,
-        "state_abbreviation": record.state_abbreviation,
-        "status": record.status.value,
-        "plans": [_plan_to_json(plan) for plan in record.plans],
-        "error_category": (record.error_category.value
-                           if record.error_category else None),
-        "attempts": record.attempts,
-        "elapsed_seconds": record.elapsed_seconds,
-        "replacement_for": record.replacement_for,
-    }
-
-
-def _record_from_json(data: dict) -> QueryRecord:
-    return QueryRecord(
-        isp_id=data["isp_id"],
-        address_id=data["address_id"],
-        block_geoid=data["block_geoid"],
-        state_abbreviation=data["state_abbreviation"],
-        status=QueryStatus(data["status"]),
-        plans=tuple(_plan_from_json(p) for p in data["plans"]),
-        error_category=(ErrorCategory(data["error_category"])
-                        if data["error_category"] else None),
-        attempts=data["attempts"],
-        elapsed_seconds=data["elapsed_seconds"],
-        replacement_for=data["replacement_for"],
-    )
-
-
-def _shard_to_json(result: "ShardResult") -> dict:
-    return {
-        "index": result.index,
-        "count": result.count,
-        "q12": [
-            {
-                "isp_id": cell.isp_id,
-                "state": cell.state,
-                "cbg": cell.cbg,
-                "records": [_record_to_json(r) for r in records],
-            }
-            for cell, records in result.q12_records.items()
-        ],
-        "q3": [
-            {
-                "block_geoid": block,
-                "outcome": None if outcome is None else {
-                    "incumbent_isp_id": outcome.incumbent_isp_id,
-                    "records": [_record_to_json(r) for r in outcome.records],
-                    "modes": outcome.modes,
-                },
-            }
-            for block, outcome in result.q3_outcomes.items()
-        ],
-    }
-
-
-def _shard_from_json(data: dict) -> "ShardResult":
-    from repro.runtime.executor import ShardResult
-
-    result = ShardResult(index=data["index"], count=data["count"])
-    for entry in data["q12"]:
-        cell = Q12Cell(isp_id=entry["isp_id"], state=entry["state"],
-                       cbg=entry["cbg"])
-        result.q12_records[cell] = tuple(
-            _record_from_json(r) for r in entry["records"])
-    for entry in data["q3"]:
-        block = entry["block_geoid"]
-        outcome = entry["outcome"]
-        if outcome is None:
-            result.q3_outcomes[block] = None
-        else:
-            result.q3_outcomes[block] = Q3BlockOutcome(
-                block_geoid=block,
-                incumbent_isp_id=outcome["incumbent_isp_id"],
-                records=tuple(_record_from_json(r)
-                              for r in outcome["records"]),
-                modes=dict(outcome["modes"]),
-            )
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +156,7 @@ class CheckpointStore(FingerprintNamespacedStore):
                 if self._load_shard_file(path) is not None
             }
         path = self.shard_path(result.index)
-        payload = json.dumps(_shard_to_json(result), sort_keys=True)
+        payload = json.dumps(shard_to_json(result), sort_keys=True)
         atomic_write_text(path, payload)
         # Digest the in-memory payload: re-reading a multi-megabyte
         # file just written, on the serialized on_complete path, would
@@ -278,48 +171,11 @@ class CheckpointStore(FingerprintNamespacedStore):
     def _load_shard_file(self, path: Path) -> "ShardResult | None":
         """Parse one shard file, or None if it is corrupt/unreadable."""
         try:
-            return _shard_from_json(
+            return shard_from_json(
                 json.loads(path.read_text(encoding="utf-8")))
         except (json.JSONDecodeError, OSError, KeyError, TypeError,
                 ValueError):
             return None
-
-    def _adopt_legacy_layout(self) -> None:
-        """Migrate pre-namespacing checkpoints into the campaign dir.
-
-        Before 1.3 a campaign's shard files and manifest lived at the
-        checkpoint *root*. If a root manifest carries this campaign's
-        fingerprint, its intact shard files — checksum-verified
-        against the legacy manifest, with the same authority rule as
-        :meth:`load_completed` — are copied into the namespaced
-        directory (atomically) and the legacy files are removed, so
-        ``--resume`` keeps working across the upgrade. A root manifest
-        with a different fingerprint is another campaign's legacy data
-        and is left untouched.
-        """
-        legacy_manifest = self._directory / MANIFEST_NAME
-        if not legacy_manifest.exists():
-            return
-        # Unrecognizable or another campaign's legacy data: not ours
-        # to clean up.
-        legacy = self._owned_document(legacy_manifest)
-        if legacy is None:
-            return
-        self.campaign_directory.mkdir(parents=True, exist_ok=True)
-        for name, expected in legacy.get("checksums", {}).items():
-            source = self._directory / name
-            target = self.campaign_directory / name
-            if not source.exists() or source == target:
-                continue
-            if (not target.exists()
-                    and _sha256(source) == expected
-                    and self._load_shard_file(source)):
-                atomic_write_text(target,
-                                  source.read_text(encoding="utf-8"))
-            # Failed the checksum or the parse: bit rot — drop it and
-            # let the shard recompute, exactly as load_completed does.
-            source.unlink(missing_ok=True)
-        legacy_manifest.unlink(missing_ok=True)
 
     def load_completed(self) -> dict[int, "ShardResult"]:
         """Reload every intact checkpointed shard of this campaign.
@@ -334,10 +190,8 @@ class CheckpointStore(FingerprintNamespacedStore):
         that happens to stay parseable (bit rot on flaky storage)
         must not silently break the bit-identical-merge guarantee.
         The skip is self-correcting — the shard reruns, is re-saved,
-        and the manifest entry is refreshed. Pre-1.3 root-level
-        layouts are migrated into the campaign directory first.
+        and the manifest entry is refreshed.
         """
-        self._adopt_legacy_layout()
         directory = self.campaign_directory
         if not directory.exists():
             return {}
@@ -372,14 +226,9 @@ class CheckpointStore(FingerprintNamespacedStore):
     def clear(self) -> None:
         """Delete this campaign's checkpoint files (manifest included).
 
-        Only the namespaced campaign directory — plus any pre-1.3
-        root-level files carrying this campaign's fingerprint, which
-        would otherwise be re-adopted by a later resume — is touched;
-        other campaigns sharing the checkpoint root are left intact.
+        Only the namespaced campaign directory is touched; other
+        campaigns sharing the checkpoint root are left intact.
         """
-        # Route legacy files through the migration first so clearing
-        # a campaign also retires its pre-1.3 layout.
-        self._adopt_legacy_layout()
         directory = self.campaign_directory
         if not directory.exists():
             return

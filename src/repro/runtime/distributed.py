@@ -17,8 +17,8 @@ whether or not machines died along the way.
 **Wire format.** Every message is a *frame*: a 4-byte big-endian
 payload length, the 32-byte SHA-256 digest of the payload, then the
 payload itself — canonical JSON (sorted keys, no whitespace). Shard
-results reuse the exact JSON codecs of
-:mod:`repro.runtime.checkpoint`, whose records round-trip floats by
+results travel in the record codec of :mod:`repro.codec` (the same
+JSON as the shard checkpoints), whose records round-trip floats by
 shortest ``repr``; that is what makes the distributed merge
 bit-identical to the serial path, enforced by the fifth column of
 ``tests/harness/equivalence.py``. The digest rejects torn or corrupted
@@ -64,19 +64,20 @@ from repro.bqt.campaign import MAX_POLITE_WORKERS_PER_ISP, SECONDS_PER_DAY
 from repro.bqt.engine import EngineConfig
 from repro.bqt.logbook import QueryLog
 from repro.bqt.scheduler import plan_to_target
+from repro.codec import (
+    scenario_from_json,
+    scenario_to_json,
+    shard_from_json,
+    shard_to_json,
+    spec_from_json,
+    spec_to_json,
+)
 from repro.core.sampling import SamplingPolicy
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.trace import (BUFFER as _TRACE_BUFFER, adopt_trace_context,
                              current_trace_context, drain_spans,
                              ingest_spans, span, tracing_enabled)
-from repro.runtime.checkpoint import _shard_from_json, _shard_to_json
-from repro.runtime.shards import (
-    DEFAULT_ISPS,
-    Q12Cell,
-    ShardSpec,
-    plan_shards,
-)
-from repro.synth.scenario import ScenarioConfig
+from repro.runtime.shards import DEFAULT_ISPS, ShardSpec, plan_shards
 from repro.synth.world import World
 
 __all__ = [
@@ -166,57 +167,6 @@ def read_frame(stream: BinaryIO) -> dict:
     return message
 
 
-# ----------------------------------------------------------------------
-# Message codecs (scenario/spec/policy travel as JSON, exactly)
-# ----------------------------------------------------------------------
-
-def _scenario_to_json(scenario) -> dict:
-    """Inverse of :func:`_scenario_from_json`.
-
-    ``asdict`` recurses through ``WaveScenario.base`` / ``.model``
-    exactly the way the decoder rebuilds them; tuples become JSON
-    arrays, which the decoder re-tuples.
-    """
-    return asdict(scenario)
-
-
-def _scenario_from_json(data: dict):
-    if "base" in data:
-        # A longitudinal wave recipe: base scenario + churn model +
-        # horizon (repro.synth.churn.WaveScenario). Workers realize it
-        # instead of building the base world.
-        from repro.synth.churn import ChurnModel, WaveScenario
-
-        return WaveScenario(
-            base=_scenario_from_json(data["base"]),
-            years=data["years"],
-            model=ChurnModel(**data["model"]),
-        )
-    data = dict(data)
-    for key in ("states", "q3_states", "non_caf_fraction_range"):
-        data[key] = tuple(data[key])
-    return ScenarioConfig(**data)
-
-
-def _spec_to_json(spec: ShardSpec) -> dict:
-    return {
-        "index": spec.index,
-        "count": spec.count,
-        "q12_cells": [[c.isp_id, c.state, c.cbg] for c in spec.q12_cells],
-        "q3_blocks": list(spec.q3_blocks),
-    }
-
-
-def _spec_from_json(data: dict) -> ShardSpec:
-    return ShardSpec(
-        index=data["index"],
-        count=data["count"],
-        q12_cells=tuple(Q12Cell(isp_id=isp, state=state, cbg=cbg)
-                        for isp, state, cbg in data["q12_cells"]),
-        q3_blocks=tuple(data["q3_blocks"]),
-    )
-
-
 def _lease_message(
     scenario,
     spec: ShardSpec,
@@ -232,8 +182,8 @@ def _lease_message(
     return {
         "type": "lease",
         "protocol": PROTOCOL_VERSION,
-        "scenario": _scenario_to_json(scenario),
-        "spec": _spec_to_json(spec),
+        "scenario": scenario_to_json(scenario),
+        "spec": spec_to_json(spec),
         "policy": None if policy is None else asdict(policy),
         "engine_config": (None if engine_config is None
                           else asdict(engine_config)),
@@ -262,8 +212,8 @@ def _execute_lease(message: dict) -> dict:
     policy = message["policy"]
     engine_config = message["engine_config"]
     result = run_shard(
-        _scenario_from_json(message["scenario"]),
-        _spec_from_json(message["spec"]),
+        scenario_from_json(message["scenario"]),
+        spec_from_json(message["spec"]),
         policy=None if policy is None else SamplingPolicy(**policy),
         engine_config=(None if engine_config is None
                        else EngineConfig(**engine_config)),
@@ -275,7 +225,7 @@ def _execute_lease(message: dict) -> dict:
     frame = {
         "type": "result",
         "index": result.index,
-        "shard": _shard_to_json(result),
+        "shard": shard_to_json(result),
         # Politeness watermarks are diagnostic, not checkpointed — but
         # the coordinator's equivalence evidence needs them, so they
         # ride next to the shard payload.
@@ -556,7 +506,7 @@ def _serve_connection(
                     or message.get("index") != spec.index):
                 return
             try:
-                result = _shard_from_json(message["shard"])
+                result = shard_from_json(message["shard"])
                 result.politeness = {
                     isp: int(peak) for isp, peak
                     in message.get("politeness", {}).items()}

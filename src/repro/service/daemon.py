@@ -60,6 +60,7 @@ import tempfile
 import threading
 from pathlib import Path
 
+from repro.codec import logbook_digest, scenario_from_json, shard_to_json
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.trace import (
     BUFFER as _TRACE_BUFFER,
@@ -75,7 +76,6 @@ from repro.runtime.distributed import (
     PROTOCOL_VERSION,
     FrameError,
     _connect,
-    _scenario_from_json,
     read_frame,
     write_frame,
 )
@@ -114,7 +114,7 @@ def validate_spec(spec) -> dict:
     if not isinstance(scenario, dict):
         raise ValueError("spec needs a scenario object")
     try:
-        _scenario_from_json(scenario)
+        scenario_from_json(scenario)
     except (KeyError, TypeError, ValueError) as error:
         raise ValueError(f"spec scenario does not decode: {error}") from None
     shards = spec.get("shards", 1)
@@ -476,17 +476,13 @@ class AuditService:
         """One campaign job, journal-checkpointed shard by shard."""
         from repro.bqt.engine import EngineConfig
         from repro.core.sampling import SamplingPolicy
-        from repro.runtime.checkpoint import (
-            _record_to_json,
-            _shard_to_json,
-            campaign_fingerprint,
-        )
+        from repro.runtime.checkpoint import campaign_fingerprint
         from repro.runtime.executor import RuntimeConfig, dispatch_shards
         from repro.runtime.merge import merge_shard_results
         from repro.runtime.shards import DEFAULT_ISPS, plan_shards
         from repro.synth.world import build_world
 
-        scenario = _scenario_from_json(spec["scenario"])
+        scenario = scenario_from_json(spec["scenario"])
         world = build_world(scenario)
         shards = spec["shards"]
         policy = (SamplingPolicy(**spec["policy"])
@@ -510,7 +506,7 @@ class AuditService:
                             q3_states=q3_states)
 
         def on_complete(result) -> None:
-            shard = _shard_to_json(result)
+            shard = shard_to_json(result)
             self._record({
                 "kind": "shard-completed", "job": job_id,
                 "fingerprint": fingerprint, "index": result.index,
@@ -527,10 +523,7 @@ class AuditService:
         collection, q3 = merge_shard_results(
             world, specs, completed, policy=policy, isps=isps,
             states=states, q3_states=q3_states)
-        logbook_sha = content_digest({
-            "q12": [_record_to_json(r) for r in collection.log],
-            "q3": [_record_to_json(r) for r in q3.log],
-        })
+        logbook_sha = logbook_digest(collection.log, q3.log)
         self._record({"kind": "campaign-sealed", "job": job_id,
                       "fingerprint": fingerprint,
                       "logbook_sha256": logbook_sha})
@@ -555,7 +548,7 @@ class AuditService:
         from repro.synth.churn import ChurnModel
         from repro.synth.world import build_world
 
-        scenario = _scenario_from_json(spec["scenario"])
+        scenario = scenario_from_json(spec["scenario"])
         world = build_world(scenario)
         policy = (SamplingPolicy(**spec["policy"])
                   if spec.get("policy") else None)

@@ -539,7 +539,7 @@ class Journal(FingerprintNamespacedStore):
         chain-verified as *bytes*, but the shard codec is the authority
         on structure.
         """
-        from repro.runtime.checkpoint import _shard_from_json
+        from repro.codec import shard_from_json
 
         completed: dict[int, object] = {}
         for entry in self.entries():
@@ -552,7 +552,7 @@ class Journal(FingerprintNamespacedStore):
                     or content_digest(shard) != event.get("shard_sha256")):
                 continue
             try:
-                result = _shard_from_json(shard)
+                result = shard_from_json(shard)
             except (KeyError, TypeError, ValueError):
                 continue
             completed[result.index] = result

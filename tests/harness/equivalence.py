@@ -30,7 +30,7 @@ and :func:`assert_incremental_analysis_equivalent` covers the third
 layer: each wave's digest-keyed row-fold *analysis* byte-equal to a
 full recompute from the merged logbook, while actually reusing rows.
 
-The serialization reuses the checkpoint codec, which round-trips
+The serialization reuses :mod:`repro.codec`, which round-trips
 floats by shortest ``repr`` — so byte equality here really is record
 equality, elapsed-seconds included.
 """
@@ -41,10 +41,10 @@ import json
 from dataclasses import dataclass
 
 from repro.bqt.campaign import MAX_POLITE_WORKERS_PER_ISP
+from repro.codec import record_to_json, shard_to_json
 from repro.core.collection import CollectionCampaign, collect_q3_dataset
 from repro.longitudinal import PanelCampaign, WaveOutcome
 from repro.runtime import RuntimeConfig, execute_campaign, enumerate_q12_cells
-from repro.runtime.checkpoint import _record_to_json, _shard_to_json
 from repro.runtime.shards import DEFAULT_ISPS
 from repro.synth.churn import ChurnModel, churned_world
 from repro.synth.world import World
@@ -96,10 +96,10 @@ def canonical_logbook_bytes(collection, q3) -> bytes:
     blocks, and the CBG weights — everything downstream analyses read.
     """
     payload = {
-        "q12": [_record_to_json(r) for r in collection.log],
+        "q12": [record_to_json(r) for r in collection.log],
         "cbg_totals": {f"{isp}:{cbg}": total
                        for (isp, cbg), total in collection.cbg_totals.items()},
-        "q3": [_record_to_json(r) for r in q3.log],
+        "q3": [record_to_json(r) for r in q3.log],
         "q3_modes": q3.modes,
         "q3_analyzed_blocks": list(q3.analyzed_blocks),
         "q3_incumbents": q3.incumbents,
@@ -204,10 +204,10 @@ def canonical_shard_state_bytes(shards: dict) -> bytes:
     """Canonical byte serialization of a completed-shard state — the
     thing a resume (journal replay *or* checkpoint load) reconstructs.
 
-    Uses the checkpoint codec's shortest-repr float round-trip, so
+    Uses :mod:`repro.codec`'s shortest-repr float round-trip, so
     byte equality is bit equality of every record in every shard.
     """
-    payload = {str(index): _shard_to_json(result)
+    payload = {str(index): shard_to_json(result)
                for index, result in sorted(shards.items())}
     return json.dumps(payload, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")

@@ -208,76 +208,35 @@ class TestChecksumAuthority:
         assert set(store.load_completed()) == {0, 1}
 
 
-class TestLegacyLayoutMigration:
-    """Pre-1.3 checkpoints lived at the root; resume must survive the
-    upgrade to the namespaced layout."""
+class TestRootLevelLayout:
+    def test_root_level_layout_is_not_read_or_touched(
+            self, two_shards, tmp_path):
+        """Pre-1.3 checkpoints lived at the root. This store no longer
+        reads that layout: its shards recompute, and neither a load
+        nor a clear deletes or moves the old files."""
+        from repro.codec import shard_to_json
+        from repro.persist.store import _sha256
 
-    def _stage_legacy(self, store, results, tmp_path):
-        """Write a v1.2-style root-level layout for this campaign."""
-        from repro.runtime.checkpoint import _shard_to_json
-
+        results, fingerprint = two_shards
+        store = CheckpointStore(tmp_path, fingerprint)
         checksums = {}
         for result in results:
             path = tmp_path / f"shard-{result.index:04d}.json"
-            path.write_text(json.dumps(_shard_to_json(result),
+            path.write_text(json.dumps(shard_to_json(result),
                                        sort_keys=True), encoding="utf-8")
-            from repro.persist.store import _sha256
-
             checksums[path.name] = _sha256(path)
         (tmp_path / "checkpoint.json").write_text(json.dumps({
             "format": 1,
-            "fingerprint": store.fingerprint,
+            "fingerprint": fingerprint,
             "checksums": checksums,
         }), encoding="utf-8")
+        before = {path.name: path.read_bytes()
+                  for path in tmp_path.iterdir()}
 
-    def test_legacy_checkpoints_resume_after_upgrade(
-            self, two_shards, tmp_path):
-        results, fingerprint = two_shards
-        store = CheckpointStore(tmp_path, fingerprint)
-        self._stage_legacy(store, results, tmp_path)
-        completed = store.load_completed()
-        assert set(completed) == {0, 1}
-        # The files were migrated into the namespace and the legacy
-        # layout retired, so the next load takes the normal path.
-        assert store.shard_path(0).exists()
-        assert not (tmp_path / "shard-0000.json").exists()
-        assert not (tmp_path / "checkpoint.json").exists()
-        assert set(store.load_completed()) == {0, 1}
-
-    def test_legacy_file_failing_its_checksum_not_adopted(
-            self, two_shards, tmp_path):
-        """Migration honors the legacy manifest's checksums: parseable
-        bit rot is dropped and recomputed, not blessed into the new
-        layout."""
-        results, fingerprint = two_shards
-        store = CheckpointStore(tmp_path, fingerprint)
-        self._stage_legacy(store, results, tmp_path)
-        damaged = tmp_path / "shard-0000.json"
-        damaged.write_text(
-            damaged.read_text(encoding="utf-8").replace("1", "2", 1),
-            encoding="utf-8")
-        assert set(store.load_completed()) == {1}
-        assert not store.shard_path(0).exists()
-
-    def test_foreign_legacy_layout_untouched(self, two_shards, tmp_path):
-        results, fingerprint = two_shards
-        other = CheckpointStore(tmp_path, "deadbeef" * 8)
-        self._stage_legacy(other, results, tmp_path)
-        store = CheckpointStore(tmp_path, fingerprint)
         assert store.load_completed() == {}
-        # Another campaign's legacy files are not ours to migrate.
-        assert (tmp_path / "shard-0000.json").exists()
-        assert (tmp_path / "checkpoint.json").exists()
-
-    def test_clear_retires_own_legacy_layout(self, two_shards, tmp_path):
-        """A non-resume run clears its campaign; stale legacy files
-        must not resurrect on the next resume."""
-        results, fingerprint = two_shards
-        store = CheckpointStore(tmp_path, fingerprint)
-        self._stage_legacy(store, results, tmp_path)
         store.clear()
-        assert store.load_completed() == {}
-        assert not (tmp_path / "checkpoint.json").exists()
+        assert {path.name: path.read_bytes()
+                for path in tmp_path.iterdir()} == before
 
 
 class TestFingerprintNamespacing:

@@ -23,16 +23,14 @@ import threading
 import pytest
 
 from harness.equivalence import canonical_logbook_bytes
+from repro.codec import scenario_from_json, spec_from_json, spec_to_json
 from repro.runtime import RuntimeConfig, execute_campaign, plan_shards
 from repro.runtime.checkpoint import CheckpointStore, campaign_fingerprint
 from repro.runtime.distributed import (
     FrameError,
     _LeaseBoard,
     _lease_message,
-    _scenario_from_json,
     _serve_connection,
-    _spec_from_json,
-    _spec_to_json,
     autotune_runtime_config,
     read_frame,
     run_shards_distributed,
@@ -140,15 +138,15 @@ class TestCodecs:
     def test_scenario_roundtrip(self, tiny_config):
         from dataclasses import asdict
 
-        restored = _scenario_from_json(
+        restored = scenario_from_json(
             roundtrip({"scenario": asdict(tiny_config)})["scenario"])
         assert restored == tiny_config
         assert hash(restored) == hash(tiny_config)  # usable as cache key
 
     def test_spec_roundtrip(self, world):
         for spec in plan_shards(world, 3, **SUBSET):
-            assert _spec_from_json(
-                roundtrip(_spec_to_json(spec))) == spec
+            assert spec_from_json(
+                roundtrip(spec_to_json(spec))) == spec
 
     def test_lease_message_carries_everything(self, world):
         from repro.bqt.engine import EngineConfig
@@ -165,7 +163,7 @@ class TestCodecs:
         assert restored["use_async"] is True
         assert restored["max_inflight"] == 12
         assert restored["per_isp_cap"] == 4
-        assert _spec_from_json(restored["spec"]) == spec
+        assert spec_from_json(restored["spec"]) == spec
 
 
 # ----------------------------------------------------------------------

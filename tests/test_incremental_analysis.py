@@ -180,11 +180,9 @@ class TestDiskBackedRows:
         hit, row = fresh.lookup("q12", "b" * 64)
         assert hit and row is None
 
-    def test_format1_json_cache_still_readable(self, tmp_path):
-        """A cache persisted before the binary format: its format-1
-        JSON files must stay warm, the loaded row must be byte-equal
-        to what format 2 round-trips, and a re-put must upgrade the
-        file to format 2."""
+    def test_format1_json_row_is_a_miss(self, tmp_path):
+        """A row persisted before the binary format (a format-1 JSON
+        file) is not read: the lookup misses, so the row recomputes."""
         from repro.runtime.cache import content_digest
 
         namespace, digest = "a" * 64, "b" * 64
@@ -199,14 +197,8 @@ class TestDiskBackedRows:
             "row_sha256": content_digest({"row": row}), "row": row,
         }), encoding="utf-8")
 
-        hit, loaded = cache.lookup("q12", digest)
-        assert hit and _row_bytes(loaded) == _row_bytes(row)
-
-        cache.put("q12", digest, loaded)
-        assert (cache.directory / f"q12-{digest}.col").exists()
-        fresh = WaveRowCache(namespace, directory=tmp_path)
-        hit, upgraded = fresh.lookup("q12", digest)
-        assert hit and _row_bytes(upgraded) == _row_bytes(row)
+        assert cache.lookup("q12", digest) == (False, None)
+        assert cache.misses == 1
 
     def test_sweep_unreferenced_rows(self, tmp_path):
         """Churned cells strand one row file per superseded digest;

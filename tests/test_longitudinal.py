@@ -25,10 +25,8 @@ from repro.longitudinal import (
     diff_digests,
 )
 from repro.runtime import RuntimeConfig
-from repro.runtime.distributed import (
-    _scenario_from_json,
-    autotune_runtime_config,
-)
+from repro.codec import scenario_from_json
+from repro.runtime.distributed import autotune_runtime_config
 from repro.synth.churn import ChurnModel, WaveScenario, churned_world
 from repro.synth.scenario import ScenarioConfig
 
@@ -370,24 +368,25 @@ class TestPanelStoreCAS:
         assert store._load_cell_payload("d" * 64) is None
         assert future.exists()
 
-    def test_v1_wave_document_loads_read_only(self, world, tmp_path):
+    def test_v1_wave_document_is_a_miss_that_recollects(
+            self, world, tmp_path):
         """A format-1 wave file (the pre-CAS layout: the whole cell
-        payload embedded as one double-encoded JSON string) must keep
-        loading byte-for-byte, so existing panels upgrade in place."""
+        payload embedded as one double-encoded JSON string) is not
+        read: the wave is a miss, and a resumed panel re-collects it
+        and rewrites it as format 2."""
         import hashlib
 
-        from repro.runtime.checkpoint import _shard_to_json
+        from repro.codec import shard_to_json
 
         campaign = self._run(world, tmp_path, horizons=(1,))
         outcomes = campaign.run()
         store = campaign.store
-        reference = store.load_wave(0)
-        assert reference is not None
+        reference = json.loads(store.wave_path(0).read_text("utf-8"))
 
         # Rewrite wave 0 exactly as the 1.4 store serialized it.
-        cell_payload = json.dumps(_shard_to_json(outcomes[0].cells),
+        cell_payload = json.dumps(shard_to_json(outcomes[0].cells),
                                   sort_keys=True, separators=(",", ":"))
-        v1_document = {
+        store.wave_path(0).write_text(json.dumps({
             "format": 1,
             "fingerprint": store.fingerprint,
             "wave": 0,
@@ -399,44 +398,15 @@ class TestPanelStoreCAS:
             "cells_sha256": hashlib.sha256(
                 cell_payload.encode("utf-8")).hexdigest(),
             "cells": cell_payload,
-        }
-        store.wave_path(0).write_text(json.dumps(v1_document,
-                                                 sort_keys=True),
-                                      encoding="utf-8")
-        loaded = store.load_wave(0)
-        assert loaded is not None
-        cells, manifest = loaded
-        assert manifest["format"] == 1
-        assert _shard_to_json(cells) == _shard_to_json(reference[0])
-
-        # And a resumed panel replays the v1 wave wholesale.
-        resumed = self._run(world, tmp_path, horizons=(1,), resume=True)
-        assert all(o.restored_from_store for o in resumed.run())
-
-    def test_v1_checksum_still_over_the_double_encoded_string(
-            self, world, tmp_path):
-        """The v1 reader must checksum the embedded *string* payload
-        (its historical on-disk form), so real v1 files verify and
-        subtly re-encoded ones do not."""
-        campaign = self._run(world, tmp_path, horizons=(1,))
-        outcomes = campaign.run()
-        store = campaign.store
-        from repro.runtime.checkpoint import _shard_to_json
-
-        cell_payload = json.dumps(_shard_to_json(outcomes[0].cells),
-                                  sort_keys=True, separators=(",", ":"))
-        document = {
-            "format": 1,
-            "fingerprint": store.fingerprint,
-            "wave": 0,
-            "horizon_years": 0,
-            "counts": {},
-            "cells_sha256": "0" * 64,  # wrong checksum
-            "cells": cell_payload,
-        }
-        store.wave_path(0).write_text(json.dumps(document),
-                                      encoding="utf-8")
+        }, sort_keys=True), encoding="utf-8")
         assert store.load_wave(0) is None
+
+        resumed = self._run(world, tmp_path, horizons=(1,), resume=True)
+        waves = resumed.run()
+        assert not waves[0].restored_from_store
+        assert waves[0].fresh_q12 == outcomes[0].fresh_q12
+        assert waves[1].restored_from_store
+        assert json.loads(store.wave_path(0).read_text("utf-8")) == reference
 
     def test_v2_document_is_not_double_encoded(self, world, tmp_path):
         """The satellite bugfix: manifests and CAS entries store
@@ -468,12 +438,12 @@ class TestWaveScenario:
     def test_wire_codec_roundtrip(self, tiny_config):
         scenario = WaveScenario(base=tiny_config, years=3,
                                 model=ChurnModel(cell_rate=0.25))
-        decoded = _scenario_from_json(json.loads(
+        decoded = scenario_from_json(json.loads(
             json.dumps(asdict(scenario), sort_keys=True)))
         assert decoded == scenario
 
     def test_plain_scenario_codec_still_works(self, tiny_config):
-        decoded = _scenario_from_json(json.loads(
+        decoded = scenario_from_json(json.loads(
             json.dumps(asdict(tiny_config), sort_keys=True)))
         assert decoded == tiny_config
 

@@ -1,6 +1,8 @@
 """Packaging smoke tests: the public surface a release promises."""
 
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -38,3 +40,13 @@ class TestPublicSurface:
 
     def test_main_module_exists(self):
         assert importlib.util.find_spec("repro.__main__") is not None
+
+    def test_cli_imports_without_scipy(self):
+        """scipy is only needed by the correlation experiments: the
+        CLI must import where it is not installed."""
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "import repro.cli; "
+                "assert sys.modules['scipy'] is None")
+        completed = subprocess.run([sys.executable, "-c", code],
+                                   capture_output=True, text=True)
+        assert completed.returncode == 0, completed.stderr

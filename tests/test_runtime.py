@@ -19,7 +19,6 @@ from repro.bqt.campaign import MAX_POLITE_WORKERS_PER_ISP
 from repro.core.collection import CollectionCampaign, collect_q3_dataset
 from repro.core.pipeline import run_full_audit
 from repro.longitudinal import PanelCampaign
-from repro.persist import StudyStore
 from repro.runtime import (
     AuditCache,
     CheckpointStore,
@@ -421,12 +420,6 @@ class TestCheckpointResume:
             assert list(map(record_key, restored.q12_records[cell])) == \
                 list(map(record_key, records))
         assert restored.q3_outcomes.keys() == original.q3_outcomes.keys()
-
-    def test_study_store_checkpoint_area(self, world, tmp_path):
-        study = StudyStore(tmp_path)
-        store = study.checkpoints("abc123")
-        assert store.directory == study.directory / "shards"
-        assert store.fingerprint == "abc123"
 
 
 class TestAuditCache:

@@ -28,14 +28,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.codec import logbook_digest
 from repro.runtime import (
     CheckpointStore,
     campaign_fingerprint,
     plan_shards,
     run_shard,
 )
-from repro.runtime.cache import content_digest
-from repro.runtime.checkpoint import _record_to_json
 from repro.runtime.merge import merge_shard_results
 from repro.service import Journal, ServiceClient
 from repro.service.journal import service_fingerprint
@@ -171,10 +170,7 @@ class TestDaemonSigkill:
                      for spec in specs}
         collection, q3 = merge_shard_results(world, specs, completed,
                                              **SUBSET)
-        oracle = content_digest({
-            "q12": [_record_to_json(r) for r in collection.log],
-            "q3": [_record_to_json(r) for r in q3.log],
-        })
+        oracle = logbook_digest(collection.log, q3.log)
         assert final["result"]["logbook_sha256"] == oracle
 
         # The restart resumed, not re-ran: exactly one shard-completed

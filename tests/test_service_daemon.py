@@ -14,6 +14,7 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.codec import logbook_digest
 from repro.runtime.cache import content_digest
 from repro.service import (
     AuditService,
@@ -181,7 +182,6 @@ class TestCampaignJobs:
         run of the same subset campaign — the service adds durability,
         not drift."""
         from repro.runtime import campaign_fingerprint, plan_shards, run_shard
-        from repro.runtime.checkpoint import _record_to_json
         from repro.runtime.merge import merge_shard_results
 
         subset = {key: tuple(value) for key, value in SUBSET.items()}
@@ -190,10 +190,7 @@ class TestCampaignJobs:
                      for spec in specs}
         collection, q3 = merge_shard_results(world, specs, completed,
                                              **subset)
-        oracle = content_digest({
-            "q12": [_record_to_json(r) for r in collection.log],
-            "q3": [_record_to_json(r) for r in q3.log],
-        })
+        oracle = logbook_digest(collection.log, q3.log)
         _, state = campaign_job
         assert state["result"]["logbook_sha256"] == oracle
         assert campaign_fingerprint(
