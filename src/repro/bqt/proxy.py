@@ -12,7 +12,8 @@ the engine to a fresh endpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.stats.distributions import stable_rng
 
@@ -46,6 +47,22 @@ class ProxyEndpoint:
         return 0.3 * self.suspicion
 
 
+@lru_cache(maxsize=16, typed=True)
+def _endpoint_kinds(seed: int, size: int,
+                    residential_fraction: float) -> tuple[tuple[str, str], ...]:
+    """``(endpoint_id, kind)`` of every endpoint in a pool.
+
+    A pure function of its arguments, and every engine of a campaign
+    builds a pool from the same three, so the draws are made once.
+    """
+    rng = stable_rng(seed, "proxy-pool")
+    return tuple(
+        (f"ip-{index:04d}",
+         "residential" if rng.random() < residential_fraction else "datacenter")
+        for index in range(size)
+    )
+
+
 class ProxyPool:
     """A finite pool of endpoints with round-robin-with-reuse rotation."""
 
@@ -55,14 +72,11 @@ class ProxyPool:
             raise ValueError("pool size must be positive")
         if not 0.0 <= residential_fraction <= 1.0:
             raise ValueError("residential_fraction must be in [0, 1]")
-        rng = stable_rng(seed, "proxy-pool")
+        # Endpoints carry mutable suspicion, so each pool gets its own.
         self._endpoints = [
-            ProxyEndpoint(
-                endpoint_id=f"ip-{index:04d}",
-                kind=("residential" if rng.random() < residential_fraction
-                      else "datacenter"),
-            )
-            for index in range(size)
+            ProxyEndpoint(endpoint_id=endpoint_id, kind=kind)
+            for endpoint_id, kind in _endpoint_kinds(
+                seed, size, residential_fraction)
         ]
         self._cursor = 0
         self.rotations = 0

@@ -9,7 +9,14 @@ to Table 2. Failures come in two flavours:
   never appears in the dropdown no matter how often it is retyped (the
   paper re-queried 8,164 such Frontier addresses "at least two times to
   verify that the error persisted"). Implemented as a deterministic
-  hash draw so retries reproduce the failure.
+  hash draw so retries reproduce the failure. The three sticky checks
+  (dropdown miss, persistent human verification, persistent error)
+  make one verdict, :meth:`IspWebsite.persistent_page`, which
+  ``respond`` memoizes for the last address it saw: a retry of the same
+  address reuses the verdict instead of re-rolling it. The memo holds
+  one entry, so an interleaved driver that alternates addresses just
+  recomputes the same pure value. A purpose whose rate is zero is never
+  rolled, since a draw in [0, 1) cannot fall below it.
 * *transient* — bot-detection walls, human-verification challenges,
   flaky UI clicks. Implemented as per-attempt draws, amplified by the
   suspicion of the proxy endpoint in use.
@@ -57,6 +64,11 @@ class FailureRates:
 class IspWebsite:
     """A simulated ISP storefront."""
 
+    # ``(address_id, persistent_page)`` of the last address ``respond``
+    # served. A class-level default, so websites pickled before the
+    # memo existed load without it.
+    _sticky: tuple[str | None, PageKind | None] = (None, None)
+
     def __init__(
         self,
         isp_id: str,
@@ -84,13 +96,30 @@ class IspWebsite:
     def has_persistent_dropdown_miss(self, address: StreetAddress) -> bool:
         """Whether this address never resolves in the dropdown."""
         rate = self._rates.dropdown_rate(address.state_abbreviation)
-        return self._address_roll(address, "dropdown") < rate
+        return rate > 0 and self._address_roll(address, "dropdown") < rate
 
     def is_call_to_order(self, address: StreetAddress, truth: ServiceTruth) -> bool:
         """Whether the site deflects this (served) address to a phone call."""
-        if not truth.serves:
+        rate = self._rates.call_to_order_if_served
+        if not truth.serves or rate <= 0:
             return False
-        return self._address_roll(address, "call") < self._rates.call_to_order_if_served
+        return self._address_roll(address, "call") < rate
+
+    def persistent_page(self, address: StreetAddress) -> PageKind | None:
+        """The page every attempt on ``address`` hits, if any: a
+        dropdown miss, a persistent human-verification wall, or a
+        persistent error page, checked in that order."""
+        if self.has_persistent_dropdown_miss(address):
+            return PageKind.DROPDOWN_MISS
+        rates = self._rates
+        if (rates.persistent_human_verification
+                and self._address_roll(address, "phv")
+                < rates.persistent_human_verification):
+            return PageKind.HUMAN_VERIFICATION
+        if (rates.persistent_error
+                and self._address_roll(address, "perr") < rates.persistent_error):
+            return PageKind.ERROR_PAGE
+        return None
 
     # ------------------------------------------------------------------
     def respond(
@@ -102,16 +131,12 @@ class IspWebsite:
         """Serve one query attempt for ``address``."""
         truth = self._truth.truth_for(self.isp_id, address.address_id)
 
-        if self.has_persistent_dropdown_miss(address):
-            return WebsiteResponse(PageKind.DROPDOWN_MISS)
-        if (self._rates.persistent_human_verification
-                and self._address_roll(address, "phv")
-                < self._rates.persistent_human_verification):
-            return WebsiteResponse(PageKind.HUMAN_VERIFICATION)
-        if (self._rates.persistent_error
-                and self._address_roll(address, "perr")
-                < self._rates.persistent_error):
-            return WebsiteResponse(PageKind.ERROR_PAGE)
+        memo_id, page = self._sticky
+        if memo_id != address.address_id:
+            page = self.persistent_page(address)
+            self._sticky = (address.address_id, page)
+        if page is not None:
+            return WebsiteResponse(page)
         if self._rates.human_verification and rng.random() < (
             self._rates.human_verification + extra_error_probability
         ):

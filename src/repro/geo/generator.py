@@ -80,10 +80,10 @@ def _jittered_point(
 ) -> Point:
     """Sample a point near ``anchor`` clipped into the state box."""
     bounds = state.bounds
-    lon = float(np.clip(anchor.longitude + rng.normal(0, spread_degrees),
-                        bounds.west, bounds.east))
-    lat = float(np.clip(anchor.latitude + rng.normal(0, spread_degrees),
-                        bounds.south, bounds.north))
+    lon = min(max(anchor.longitude + rng.normal(0, spread_degrees),
+                  bounds.west), bounds.east)
+    lat = min(max(anchor.latitude + rng.normal(0, spread_degrees),
+                  bounds.south), bounds.north)
     return Point(lon, lat)
 
 

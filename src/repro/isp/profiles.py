@@ -43,6 +43,18 @@ _BAND_SPEEDS: Mapping[str, tuple[tuple[float, float], ...]] = {
     "1000+": ((1000.0, 0.7), (2000.0, 0.2), (5000.0, 0.1)),
 }
 
+
+def _band_choices(
+    bands: tuple[tuple[float, float], ...]
+) -> tuple[tuple[float, ...], np.ndarray]:
+    speeds, weights = zip(*bands)
+    return speeds, np.asarray(weights) / sum(weights)
+
+
+# ``_BAND_SPEEDS`` as ``(speeds, probabilities)``, normalized once.
+_BAND_CHOICES = {label: _band_choices(bands)
+                 for label, bands in _BAND_SPEEDS.items()}
+
 # Nominal marketing speeds for plans with no guaranteed minimum.
 _NO_GUARANTEE_NOMINAL_MBPS = {
     "AT&T Internet Air": 75.0,
@@ -96,6 +108,11 @@ class IspProfile:
         object.__setattr__(
             self, "served_tier_mix", MappingProxyType(dict(self.served_tier_mix))
         )
+        # The tier draw's labels and probabilities, normalized once.
+        labels = tuple(self.served_tier_mix)
+        weights = np.asarray([self.served_tier_mix[label] for label in labels])
+        object.__setattr__(self, "_tier_labels", labels)
+        object.__setattr__(self, "_tier_probabilities", weights / weights.sum())
 
     @property
     def info(self) -> IspInfo:
@@ -132,17 +149,15 @@ class IspProfile:
     # ------------------------------------------------------------------
     def sample_tier_label(self, rng: np.random.Generator) -> str:
         """Draw a Table 1 tier label from the served mix."""
-        labels = list(self.served_tier_mix)
-        weights = np.asarray([self.served_tier_mix[label] for label in labels])
-        return labels[int(rng.choice(len(labels), p=weights / weights.sum()))]
+        labels = self._tier_labels
+        return labels[int(rng.choice(len(labels), p=self._tier_probabilities))]
 
     def speed_for_label(self, label: str, rng: np.random.Generator) -> float:
         """Concrete download speed for a tier label."""
         if label in _EXACT_LABEL_SPEEDS:
             return _EXACT_LABEL_SPEEDS[label]
-        if label in _BAND_SPEEDS:
-            speeds, weights = zip(*_BAND_SPEEDS[label])
-            probabilities = np.asarray(weights) / sum(weights)
+        if label in _BAND_CHOICES:
+            speeds, probabilities = _BAND_CHOICES[label]
             return float(speeds[int(rng.choice(len(speeds), p=probabilities))])
         if label in _NO_GUARANTEE_NOMINAL_MBPS:
             return _NO_GUARANTEE_NOMINAL_MBPS[label]

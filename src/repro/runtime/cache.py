@@ -14,6 +14,10 @@ A policy sweep — same scenario, different sampling policies — misses
 the audit cache on every variant but shares one cached world build,
 which is the expensive half of a small audit.
 
+Both keys also carry a digest of the ``repro`` package's own sources,
+so an entry computed by different code is a miss rather than a stale
+hit.
+
 The cache is size-bounded: give the constructor ``max_bytes`` or set
 ``REPRO_CACHE_MAX_BYTES`` and, after each store, the least-recently-
 *used* entries (hits refresh an entry's clock) are evicted until the
@@ -30,6 +34,7 @@ import json
 import os
 import pickle
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -54,8 +59,6 @@ __all__ = [
 
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 CACHE_MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"
-# Bump when a change anywhere in the pipeline invalidates old entries.
-CACHE_FORMAT_VERSION = 1
 
 _WORLDS_SUBDIR = "worlds"
 # ImportError covers entries pickled by an older code version whose
@@ -77,6 +80,25 @@ def content_digest(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+@lru_cache(maxsize=1)
+def _code_digest() -> str:
+    """SHA-256 over every ``repro`` source file, path and bytes.
+
+    Any edit to the package moves it, which moves every cache key. Read
+    on first use and kept for the life of the process, so callers that
+    never touch a cache never pay for it.
+    """
+    package = Path(__file__).resolve().parent.parent
+    sources = sorted((path.relative_to(package).as_posix(), path)
+                     for path in package.rglob("*.py"))
+    digest = hashlib.sha256()
+    for name, path in sources:
+        content = path.read_bytes()
+        digest.update(f"{name}\0{len(content)}\0".encode("utf-8"))
+        digest.update(content)
+    return digest.hexdigest()
+
+
 def audit_digest(
     scenario: ScenarioConfig,
     policy: SamplingPolicy | None,
@@ -85,20 +107,20 @@ def audit_digest(
     engine_config=None,
 ) -> str:
     """Content address of one audit: every input that determines it —
-    scenario, policy, ISP set, and the urban-survey toggle.
+    the code, scenario, policy, ISP set, and the urban-survey toggle.
 
     ``engine_config`` participates only when it differs from the
     default :class:`~repro.bqt.engine.EngineConfig` — an omitted or
-    default config hashes exactly as before, preserving every digest
-    already in a cache. A non-default config (fewer retries, pacing)
-    gets its own address: retry policy changes the records, and a
-    paced rehearsal that hit the cache would never actually pace.
+    default config hashes as if there were none. A non-default config
+    (fewer retries, pacing) gets its own address: retry policy changes
+    the records, and a paced rehearsal that hit the cache would never
+    actually pace.
     """
     from repro.bqt.engine import EngineConfig
 
     policy = policy or SamplingPolicy()
     payload = {
-        "format": CACHE_FORMAT_VERSION,
+        "code": _code_digest(),
         "scenario": asdict(scenario),
         "policy": asdict(policy),
         "isps": sorted(isps),
@@ -110,14 +132,14 @@ def audit_digest(
 
 
 def world_digest(scenario: ScenarioConfig) -> str:
-    """Content address of one world build: the scenario alone.
+    """Content address of one world build: the code and the scenario.
 
     Deliberately independent of sampling policy and ISP set — the
     world is fully determined by the scenario's seed and shape, which
     is what lets audits with different policies share one build.
     """
     return content_digest({
-        "format": CACHE_FORMAT_VERSION,
+        "code": _code_digest(),
         "scenario": asdict(scenario),
     })
 

@@ -71,6 +71,23 @@ class TestProxyPool:
         assert cleanest.suspicion == min(
             e.suspicion for e in pool._endpoints)
 
+    def test_same_seed_pools_share_kinds_not_endpoints(self):
+        first, second = ProxyPool(size=16, seed=3), ProxyPool(size=16, seed=3)
+        kinds = [(e.endpoint_id, e.kind) for e in first._endpoints]
+        assert kinds == [(e.endpoint_id, e.kind) for e in second._endpoints]
+        # The kinds are the pool stream's draws, in endpoint order.
+        rng = stable_rng(3, "proxy-pool")
+        assert [kind for _, kind in kinds] == [
+            "residential" if rng.random() < 0.7 else "datacenter"
+            for _ in range(16)]
+        assert all(a is not b for a, b in
+                   zip(first._endpoints, second._endpoints))
+        for _ in range(50):
+            first.current.record_query(1.0)
+        assert first.current.suspicion > 0
+        assert second.mean_suspicion() == 0.0
+        assert all(e.queries_issued == 0 for e in second._endpoints)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ProxyPool(size=0)

@@ -1,8 +1,12 @@
 """Unit tests for repro.bqt.websites and repro.bqt.responses."""
 
+from collections import Counter
+
 import pytest
 
 from repro.addresses.generator import AddressGenerator
+from repro.bqt import websites
+from repro.bqt.engine import BqtEngine, EngineConfig
 from repro.bqt.responses import PageKind, QueryStatus, WebsiteResponse
 from repro.bqt.websites import build_website
 from repro.geo.entities import CensusBlock
@@ -171,3 +175,92 @@ class TestWebsiteBehaviour:
             site.respond(a, dirty_rng, extra_error_probability=0.4).page_kind
             is PageKind.ERROR_PAGE for a in addresses)
         assert dirty_errors > clean_errors
+
+
+STICKY_PURPOSES = ("dropdown", "phv", "perr")
+# (ISP, purpose) pairs whose rate is zero: a draw in [0, 1) can never
+# fall below it, so the roll is never made.
+ZERO_RATE_PURPOSES = {("centurylink", "dropdown")} | {
+    (isp_id, "call") for isp_id in
+    ("centurylink", "frontier", "consolidated", "spectrum", "xfinity")}
+ALL_ISPS = ("att", "centurylink", "frontier", "consolidated", "xfinity",
+            "spectrum")
+
+
+@pytest.fixture
+def site_rolls(monkeypatch):
+    """Counts per-address rolls as ``(isp_id, purpose, address_id)``."""
+    rolls = Counter()
+    real_stable_rng = websites.stable_rng
+
+    def counting_stable_rng(*parts):
+        if parts[1] == "site":
+            _, _, isp_id, purpose, address_id = parts
+            rolls[isp_id, purpose, address_id] += 1
+        return real_stable_rng(*parts)
+
+    monkeypatch.setattr(websites, "stable_rng", counting_stable_rng)
+    return rolls
+
+
+class TestStickyVerdicts:
+    @pytest.mark.parametrize("isp_id, sticky_page", [
+        ("att", PageKind.DROPDOWN_MISS),
+        ("centurylink", PageKind.HUMAN_VERIFICATION),
+        ("frontier", PageKind.ERROR_PAGE),
+        ("consolidated", PageKind.DROPDOWN_MISS),
+    ])
+    def test_retries_roll_each_sticky_purpose_once(
+            self, block, site_rolls, isp_id, sticky_page):
+        addresses = make_addresses(block, 200)
+        site = build_website(isp_id, served_truth(isp_id, addresses), seed=0)
+        address = next(a for a in addresses
+                       if site.persistent_page(a) is sticky_page)
+        site_rolls.clear()
+        engine = BqtEngine(site, config=EngineConfig(max_attempts=5), seed=0)
+        record = engine.query(address)
+        assert record.attempts == 5
+        rolled = {purpose: site_rolls[isp_id, purpose, address.address_id]
+                  for purpose in STICKY_PURPOSES}
+        assert max(rolled.values()) == 1
+
+    def test_zero_rate_purposes_never_roll(self, block, site_rolls):
+        addresses = make_addresses(block, 120)
+        for isp_id in ALL_ISPS:
+            site = build_website(isp_id, served_truth(isp_id, addresses), seed=0)
+            BqtEngine(site, seed=0).query_many(addresses)
+        purposes = {(isp_id, purpose) for isp_id, purpose, _ in site_rolls}
+        assert not purposes & ZERO_RATE_PURPOSES
+        # The counter does see real rolls, zero-rate ones aside.
+        assert {("att", "call"), ("centurylink", "phv"),
+                ("frontier", "dropdown")} <= purposes
+        assert all(count <= 1 for (_, purpose, _), count in site_rolls.items()
+                   if purpose in STICKY_PURPOSES)
+
+    @pytest.mark.parametrize("isp_id", ALL_ISPS)
+    def test_alternating_addresses_match_sequential(self, block, isp_id):
+        addresses = make_addresses(block, 200)
+        truth = served_truth(isp_id, addresses)
+        probe = build_website(isp_id, truth, seed=0)
+        sticky = next(a for a in addresses if probe.persistent_page(a))
+        clean = next(a for a in addresses if probe.persistent_page(a) is None)
+
+        def pages(order, site=None):
+            rngs = {a.address_id: stable_rng(8, "t", a.address_id)
+                    for a in (sticky, clean)}
+            seen = {sticky.address_id: [], clean.address_id: []}
+            for address in order:
+                # No site: a fresh one per call, so nothing is memoized.
+                responder = site or build_website(isp_id, truth, seed=0)
+                seen[address.address_id].append(responder.respond(
+                    address, rngs[address.address_id],
+                    extra_error_probability=0.2).page_kind)
+            return seen
+
+        sequential = pages([sticky] * 4 + [clean] * 4,
+                           build_website(isp_id, truth, seed=0))
+        alternating = pages([sticky, clean] * 4,
+                            build_website(isp_id, truth, seed=0))
+        assert sequential == alternating == pages([sticky, clean] * 4)
+        assert set(sequential[sticky.address_id]) == {
+            probe.persistent_page(sticky)}

@@ -10,14 +10,20 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.runtime.executor as executor_module
 from harness.equivalence import canonical_logbook_bytes
 from repro.bqt.campaign import MAX_POLITE_WORKERS_PER_ISP
 from repro.core.collection import CollectionCampaign, collect_q3_dataset
-from repro.core.pipeline import run_full_audit
+from repro.core.pipeline import CAF_STUDY_ISP_IDS, run_full_audit
 from repro.longitudinal import PanelCampaign
 from repro.runtime import (
     AuditCache,
@@ -483,6 +489,53 @@ class TestAuditCache:
         assert cache_dir_from_environment() == str(tmp_path)
         context = ExperimentContext.at_scale("tiny")
         assert context.cache_dir == str(tmp_path)
+
+
+class TestCodeFingerprint:
+    """Cache keys carry the package's sources: different code, new key."""
+
+    _LOOKUP = (
+        "import sys\n"
+        "from repro.core.pipeline import CAF_STUDY_ISP_IDS\n"
+        "from repro.runtime.cache import AuditCache, audit_digest\n"
+        "from repro.synth import ScenarioConfig\n"
+        "digest = audit_digest(ScenarioConfig.tiny(), None, CAF_STUDY_ISP_IDS)\n"
+        "print(digest, AuditCache(sys.argv[1]).get(digest) is not None)\n"
+    )
+
+    def test_editing_a_world_generator_constant_turns_a_hit_into_a_miss(
+            self, report, tmp_path):
+        package = tmp_path / "src" / "repro"
+        shutil.copytree(Path(repro.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        cache_dir = tmp_path / "cache"
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env.update(PYTHONPATH=str(package.parent), PYTHONDONTWRITEBYTECODE="1")
+
+        def lookup() -> tuple[str, bool]:
+            """The copy's audit key for the tiny scenario, and whether
+            the cache holds an entry under it."""
+            completed = subprocess.run(
+                [sys.executable, "-c", self._LOOKUP, str(cache_dir)],
+                env=env, capture_output=True, text=True, check=True)
+            digest, hit = completed.stdout.split()
+            return digest, hit == "True"
+
+        digest = audit_digest(report.world.config, None, CAF_STUDY_ISP_IDS)
+        # Byte-identical sources elsewhere on disk: the same key.
+        assert lookup() == (digest, False)
+        AuditCache(cache_dir).put(digest, report)
+        assert lookup() == (digest, True)
+
+        generator = package / "addresses" / "generator.py"
+        source = generator.read_text(encoding="utf-8")
+        assert '"Rd", "Ln"' in source
+        generator.write_text(source.replace('"Rd", "Ln"', '"Road", "Ln"'),
+                             encoding="utf-8")
+        edited, hit = lookup()
+        assert edited != digest
+        assert not hit
 
 
 class TestWorldCacheSplit:

@@ -1,5 +1,7 @@
 """Unit tests for repro.synth (scenario, calibration, world builder)."""
 
+import hashlib
+
 import pytest
 
 from repro.bqt.engine import BqtEngine
@@ -12,6 +14,9 @@ from repro.synth.calibration import (
     TYPE_A_SHARES,
     TYPE_B_SHARES,
 )
+
+TINY_WORLD_SHA256 = (
+    "df879f1ab9fdeb1b60d7909e7d55b736f1acbc3633effbca68ee2e5ca7c9ffec")
 
 
 class TestScenarioConfig:
@@ -152,3 +157,34 @@ class TestWorldBuilder:
         assert total == len(world.caf_by_isp_state[("frontier", "OH")])
         for cbg, addresses in grouped.items():
             assert all(a.block_group_geoid == cbg for a in addresses)
+
+
+def world_bytes_sha256(world) -> str:
+    """SHA-256 over the reprs of what the world generators draw: every
+    CAF and Zillow address, every block-group centroid, and every
+    ground-truth entry, each group in sorted order."""
+    digest = hashlib.sha256()
+
+    def add(*fields) -> None:
+        digest.update(("\x1f".join(map(repr, fields)) + "\n").encode("utf-8"))
+
+    zillow = [address for block in world.zillow.blocks()
+              for address in world.zillow.in_block(block)]
+    for group in (world.caf_addresses.values(), zillow):
+        for address in sorted(group, key=lambda a: a.address_id):
+            add(address.address_id, address.house_number, address.street_name,
+                address.location.longitude, address.location.latitude)
+    for geoid in sorted(world.block_groups):
+        centroid = world.block_groups[geoid].centroid
+        add(geoid, centroid.longitude, centroid.latitude)
+    truth = world.ground_truth
+    for isp_id, address_id in sorted(truth.pairs()):
+        add(isp_id, address_id, truth.truth_for(isp_id, address_id))
+    return digest.hexdigest()
+
+
+def test_tiny_world_bytes_are_pinned(world):
+    """The tiny seed-0 world, value for value. ``repr`` of a coordinate
+    also pins its type: a numpy scalar would repr differently."""
+    assert world.config.seed == 0
+    assert world_bytes_sha256(world) == TINY_WORLD_SHA256
