@@ -17,7 +17,8 @@ from repro.geo.fips import state_by_fips
 from repro.geo.geometry import Point
 from repro.stats.distributions import stable_rng
 
-__all__ = ["AddressGenerator", "STREET_STEMS", "STREET_SUFFIXES"]
+__all__ = ["AddressGenerator", "STREET_STEMS", "STREET_SUFFIXES",
+           "parse_address_id"]
 
 STREET_STEMS = (
     "Oak", "Maple", "Cedar", "Pine", "Walnut", "Elm", "Hickory", "Willow",
@@ -29,6 +30,19 @@ STREET_STEMS = (
 )
 
 STREET_SUFFIXES = ("Rd", "Ln", "Dr", "St", "Ave", "Ct", "Way", "Trl", "Hwy", "Pl")
+
+
+def parse_address_id(address_id: str) -> tuple[str, str] | None:
+    """``(namespace, block_geoid)`` of a generated address id.
+
+    The inverse of :meth:`AddressGenerator.generate_for_block`'s
+    ``{namespace}-{block_geoid}-{index}`` ids (block GEOIDs hold no
+    dash); ``None`` for an id of any other shape.
+    """
+    parts = address_id.rsplit("-", 2)
+    if len(parts) != 3:
+        return None
+    return parts[0], parts[1]
 
 
 class AddressGenerator:

@@ -19,11 +19,19 @@ __all__ = ["ZillowFeed"]
 
 
 class ZillowFeed:
-    """An indexed collection of residential addresses."""
+    """An indexed collection of residential addresses.
 
-    def __init__(self, addresses: Iterable[StreetAddress]):
+    A world's feed is lazy: it is handed the world's cell index
+    (``realize_block(block_geoid)`` and ``realize_all()``).
+    :meth:`in_block` then materializes just that block, and the
+    whole-feed views (``len``, ``in``, :meth:`lookup`, :meth:`blocks`,
+    :meth:`summary`) materialize every block first.
+    """
+
+    def __init__(self, addresses: Iterable[StreetAddress] = (), cells=None):
         self._by_block: dict[str, list[StreetAddress]] = {}
         self._by_id: dict[str, StreetAddress] = {}
+        self._cells = cells
         for address in addresses:
             if address.address_id in self._by_id:
                 raise ValueError(f"duplicate address id {address.address_id!r}")
@@ -31,13 +39,16 @@ class ZillowFeed:
             self._by_block.setdefault(address.block_geoid, []).append(address)
 
     def __len__(self) -> int:
+        self._realize_all()
         return len(self._by_id)
 
     def __contains__(self, address_id: str) -> bool:
+        self._realize_all()
         return address_id in self._by_id
 
     def lookup(self, address_id: str) -> StreetAddress:
         """Return the address with ``address_id``."""
+        self._realize_all()
         try:
             return self._by_id[address_id]
         except KeyError:
@@ -45,6 +56,8 @@ class ZillowFeed:
 
     def in_block(self, block_geoid: str) -> list[StreetAddress]:
         """All feed addresses in a census block (empty list if none)."""
+        if self._cells is not None and block_geoid not in self._by_block:
+            self._cells.realize_block(block_geoid)
         return list(self._by_block.get(block_geoid, []))
 
     def non_caf_in_block(self, block_geoid: str) -> list[StreetAddress]:
@@ -53,18 +66,38 @@ class ZillowFeed:
 
     def blocks(self) -> list[str]:
         """Block GEOIDs with at least one address, sorted."""
+        self._realize_all()
         return sorted(self._by_block)
+
+    def publish(self, block_geoid: str, addresses: list[StreetAddress]) -> None:
+        """Record one materialized block's addresses."""
+        if addresses:
+            self._by_id.update((a.address_id, a) for a in addresses)
+            self._by_block[block_geoid] = list(addresses)
+
+    def seal(self, block_order: Iterable[str]) -> None:
+        """Every block is published: re-key the feed block by block in
+        ``block_order`` (which names every block with addresses) and
+        stop consulting the cells."""
+        self._by_block = {block: self._by_block[block]
+                          for block in block_order if block in self._by_block}
+        self._by_id = {address.address_id: address
+                       for addresses in self._by_block.values()
+                       for address in addresses}
+        self._cells = None
 
     @staticmethod
     def merge(feeds: Iterable["ZillowFeed"]) -> "ZillowFeed":
         """Combine several per-state feeds into one."""
         combined: list[StreetAddress] = []
         for feed in feeds:
+            feed._realize_all()
             combined.extend(feed._by_id.values())
         return ZillowFeed(combined)
 
     def summary(self) -> Mapping[str, int]:
         """Counts useful for logging: addresses, blocks, CAF/non-CAF."""
+        self._realize_all()
         caf = sum(1 for a in self._by_id.values() if a.is_caf)
         return {
             "addresses": len(self._by_id),
@@ -72,3 +105,7 @@ class ZillowFeed:
             "caf": caf,
             "non_caf": len(self._by_id) - caf,
         }
+
+    def _realize_all(self) -> None:
+        if self._cells is not None:
+            self._cells.realize_all()

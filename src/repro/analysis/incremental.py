@@ -386,13 +386,17 @@ def row_cache_for(campaign: "PanelCampaign",
 
     The namespace digests the campaign fingerprint (scenario, churn
     model, policy, subsets, replacement budget — everything that
-    shapes a cell's records beyond its world digest) plus the
-    compliance standard's identifying inputs. ``directory`` defaults
-    to memory-only; pass the panel store root to persist rows next to
-    the wave CAS.
+    shapes a cell's records beyond its world digest), the compliance
+    standard's identifying inputs, and the ``repro`` sources, so a row
+    computed by different code is a miss. ``directory`` defaults to
+    memory-only; pass the panel store root to persist rows next to the
+    wave CAS.
     """
+    from repro.runtime import cache as result_cache
+
     return WaveRowCache(
         content_digest({
+            "code": result_cache._code_digest(),
             "format": ROW_FORMAT_VERSION,
             "kind": "wave-analysis-rows",
             "panel": campaign.fingerprint,

@@ -496,11 +496,11 @@ def _run_autotuned(args: argparse.Namespace, scenario,
     if args.cache_dir:
         # The cache short-circuit must come before the pilot shard
         # and world build, or a warm cache still pays minutes of
-        # autotuning work it is about to throw away. Both lookups are
-        # the exact ones run_full_audit performs (shared helpers).
+        # autotuning work it is about to throw away. The lookup is
+        # the exact one run_full_audit performs (a shared helper).
         # A paced run never takes it: serving a rehearsal from cache
         # would skip the rehearsal (pacing is part of the digest).
-        from repro.core.pipeline import cached_audit_report, cached_world
+        from repro.core.pipeline import cached_audit_report
 
         cached = (cached_audit_report(args.cache_dir, scenario)
                   if engine_config is None else None)
@@ -509,11 +509,7 @@ def _run_autotuned(args: argparse.Namespace, scenario,
                   file=sys.stderr)
             print("\n".join(cached.summary_lines()))
             return 0
-        # Audit miss: the scenario-keyed world store can still spare
-        # the build (and a fresh build warms it for the next run).
-        world = cached_world(args.cache_dir, scenario)
-    else:
-        world = build_world(scenario)
+    world = build_world(scenario)
     # Persist the autotune decision next to the checkpoints (or cache):
     # a repeat or --resume run with the same world and target reloads
     # the plan instead of re-running the serial pilot shard.

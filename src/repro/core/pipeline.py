@@ -108,23 +108,6 @@ def cached_audit_report(
         use_urban_survey=use_urban_survey))
 
 
-def cached_world(cache_dir: str, scenario: ScenarioConfig) -> World:
-    """This scenario's world via the cache's world store.
-
-    A hit skips the build; a miss builds and warms the store — the
-    same behavior :func:`run_full_audit` has on an audit miss.
-    """
-    from repro.runtime.cache import AuditCache, world_digest
-
-    cache = AuditCache(cache_dir)
-    scenario_key = world_digest(scenario)
-    world = cache.get_world(scenario_key)
-    if world is None:
-        world = build_world(scenario)
-        cache.put_world(scenario_key, world)
-    return world
-
-
 def run_full_audit(
     world: World | None = None,
     scenario: ScenarioConfig | None = None,
@@ -140,9 +123,7 @@ def run_full_audit(
     campaigns (``backend="async"`` interleaves each shard's storefront
     sessions on an event loop); its ``cache_dir`` short-circuits the
     whole call with a content-addressed hit when the same (scenario,
-    policy, ISP set) audit has already been computed. On an audit miss
-    the world build is still served from the cache's scenario-keyed
-    world store, so e.g. policy sweeps rebuild only the campaigns.
+    policy, ISP set) audit has already been computed.
     ``on_progress`` (sharded runs only) fires per completed shard with
     ``(completed, total, shard_result, restored)``.
     ``engine_config`` overrides the retry/pacing policy for both
@@ -163,11 +144,7 @@ def run_full_audit(
         if cached is not None:
             return cached
     if world is None:
-        if cache is not None:
-            world = cached_world(parallel.cache_dir,
-                                 scenario or ScenarioConfig())
-        else:
-            world = build_world(scenario)
+        world = build_world(scenario)
     if parallel is not None:
         from repro.runtime.executor import execute_campaign
 

@@ -2,18 +2,21 @@
 
 :class:`GroundTruth` stores, for each (ISP, address) pair, whether the
 ISP actually serves the address and which plans its website would show
-there. The world builder populates it in two passes:
+there. Truth is drawn per cell:
 
-1. :func:`build_ground_truth` covers Q1/Q2 — each CAF-certified address
-   is resolved against the certifying ISP's profile (serviceability by
-   density, then a tier draw conditional on being served).
-2. The Q3 world builder (:mod:`repro.synth.world`) overwrites truths in
+1. :func:`sample_service_truth` covers Q1/Q2 — each CAF-certified
+   address is resolved against the certifying ISP's profile
+   (serviceability by density, then a tier draw conditional on being
+   served). :func:`build_ground_truth` applies it to a whole footprint.
+2. The Q3 world builder (:mod:`repro.synth.world`) overrides truths in
    the Q3 study blocks with block-coherent speeds so within-block
    comparisons have the paper's outcome structure.
 
-The BQT website simulators consult this object — never the profiles
-directly — so the querying layer and the generative layer stay
-decoupled.
+A world's :class:`GroundTruth` is lazy: it is handed the world's cell
+index, and a lookup that misses materializes the pair's owning cell
+before answering. The BQT website simulators consult this object —
+never the profiles directly — so the querying layer and the generative
+layer stay decoupled.
 """
 
 from __future__ import annotations
@@ -65,22 +68,52 @@ UNSERVED = ServiceTruth(serves=False)
 
 
 class GroundTruth:
-    """Mutable map of (isp_id, address_id) → :class:`ServiceTruth`."""
+    """Map of (isp_id, address_id) → :class:`ServiceTruth`.
 
-    def __init__(self) -> None:
+    Without ``cells`` this is a plain mutable map. With them (a world's
+    cell index: ``realize_pair(isp_id, address_id)`` and
+    ``realize_all()``), :meth:`truth_for` materializes the owning cell
+    on a miss, and the whole-map views (:meth:`pairs`, ``len``)
+    materialize every cell first. Cells arrive through :meth:`publish`,
+    one ``dict.update`` each, so a reader never sees part of a cell;
+    :meth:`seal` ends the lazy phase once every cell is in.
+    """
+
+    def __init__(self, cells=None) -> None:
         self._truths: dict[tuple[str, str], ServiceTruth] = {}
+        self._cells = cells
 
     def __len__(self) -> int:
+        self._realize_all()
         return len(self._truths)
 
+    def __contains__(self, pair: tuple[str, str]) -> bool:
+        """True when a truth is recorded for ``pair`` (never materializes)."""
+        return pair in self._truths
+
     def set_truth(self, isp_id: str, address_id: str, truth: ServiceTruth) -> None:
-        """Record the truth for one pair (overwrites silently — the Q3
-        builder intentionally refines Q1 assignments)."""
+        """Record the truth for one pair (overwrites silently)."""
         self._truths[(isp_id, address_id)] = truth
+
+    def publish(self, truths: Mapping[tuple[str, str], ServiceTruth]) -> None:
+        """Record one materialized cell's truths in a single update."""
+        self._truths.update(truths)
+
+    def seal(self, pairs: Iterable[tuple[str, str]]) -> None:
+        """Every cell is published: re-key the map in ``pairs`` order
+        (every recorded pair, once) and stop consulting the cells."""
+        self._truths = {pair: self._truths[pair] for pair in pairs}
+        self._cells = None
 
     def truth_for(self, isp_id: str, address_id: str) -> ServiceTruth:
         """Return the recorded truth, or the unserved default."""
-        return self._truths.get((isp_id, address_id), UNSERVED)
+        truth = self._truths.get((isp_id, address_id))
+        if truth is None:
+            if self._cells is None:
+                return UNSERVED
+            self._cells.realize_pair(isp_id, address_id)
+            truth = self._truths.get((isp_id, address_id), UNSERVED)
+        return truth
 
     def serves(self, isp_id: str, address_id: str) -> bool:
         """True when the ISP genuinely serves the address."""
@@ -88,7 +121,12 @@ class GroundTruth:
 
     def pairs(self) -> Iterable[tuple[str, str]]:
         """All recorded (isp_id, address_id) pairs."""
+        self._realize_all()
         return self._truths.keys()
+
+    def _realize_all(self) -> None:
+        if self._cells is not None:
+            self._cells.realize_all()
 
 
 def sample_service_truth(

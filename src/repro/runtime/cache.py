@@ -1,4 +1,4 @@
-"""Content-addressed result cache: audits, and the worlds under them.
+"""Content-addressed result cache for completed audits.
 
 Twenty-odd benchmark and example scripts each call
 ``ExperimentContext.at_scale(...)`` and rebuild the same audit from
@@ -8,13 +8,12 @@ the scenario (seed included), the sampling policy, and the ISP set —
 so the second script at a given scale loads the first one's audit
 instead of recomputing it.
 
-The *world* is cached separately, under the digest of the scenario
-alone (:func:`world_digest`, entries in a ``worlds/`` subdirectory).
-A policy sweep — same scenario, different sampling policies — misses
-the audit cache on every variant but shares one cached world build,
-which is the expensive half of a small audit.
+Worlds are not cached: a world builds its ground truth and Q3 blocks
+per cell on first lookup, so building one costs less than loading a
+pickled one would. :func:`world_digest` (the scenario and the code)
+still keys the distributed autotuner's plans.
 
-Both keys also carry a digest of the ``repro`` package's own sources,
+The key also carries a digest of the ``repro`` package's own sources,
 so an entry computed by different code is a miss rather than a stale
 hit.
 
@@ -46,7 +45,6 @@ from repro.synth.scenario import ScenarioConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pipeline import AuditReport
-    from repro.synth.world import World
 
 __all__ = [
     "AuditCache",
@@ -60,7 +58,6 @@ __all__ = [
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 CACHE_MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"
 
-_WORLDS_SUBDIR = "worlds"
 # ImportError covers entries pickled by an older code version whose
 # classes have since moved — stale, so a miss, not a crash.
 _PICKLE_LOAD_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
@@ -135,8 +132,8 @@ def world_digest(scenario: ScenarioConfig) -> str:
     """Content address of one world build: the code and the scenario.
 
     Deliberately independent of sampling policy and ISP set — the
-    world is fully determined by the scenario's seed and shape, which
-    is what lets audits with different policies share one build.
+    world is fully determined by the scenario's seed and shape, so a
+    plan keyed by it (the distributed autotuner's) serves every policy.
     """
     return content_digest({
         "code": _code_digest(),
@@ -167,11 +164,11 @@ def cache_max_bytes_from_environment() -> int | None:
 
 
 class AuditCache:
-    """A directory of content-addressed audit reports and world builds.
+    """A directory of content-addressed audit reports.
 
     ``max_bytes`` (default: ``REPRO_CACHE_MAX_BYTES``) bounds the
     total size of pickles and sidecars; stores evict least-recently-
-    used entries — audit or world, whichever is coldest — to fit.
+    used entries to fit.
     """
 
     def __init__(self, directory: str | Path, max_bytes: int | None = None):
@@ -199,10 +196,6 @@ class AuditCache:
     def path_for(self, digest: str) -> Path:
         """Path of the pickled report for one digest."""
         return self._directory / f"{digest}.pkl"
-
-    def world_path_for(self, digest: str) -> Path:
-        """Path of the pickled world for one digest."""
-        return self._directory / _WORLDS_SUBDIR / f"{digest}.pkl"
 
     # ------------------------------------------------------------------
     # audits
@@ -242,29 +235,6 @@ class AuditCache:
         return sorted(p.stem for p in self._directory.glob("*.pkl"))
 
     # ------------------------------------------------------------------
-    # worlds
-    # ------------------------------------------------------------------
-    def get_world(self, digest: str) -> "World | None":
-        """Load the cached world for a scenario digest (None on miss)."""
-        world = self._load_pickle(self.world_path_for(digest))
-        (self._metric_hits if world is not None
-         else self._metric_misses).inc()
-        return world
-
-    def put_world(self, digest: str, world: "World") -> Path:
-        """Store a world build under its scenario digest."""
-        path = self._store_pickle(self.world_path_for(digest), world)
-        self._evict(keep=path)
-        return path
-
-    def world_entries(self) -> list[str]:
-        """World digests currently stored, sorted."""
-        worlds = self._directory / _WORLDS_SUBDIR
-        if not worlds.exists():
-            return []
-        return sorted(p.stem for p in worlds.glob("*.pkl"))
-
-    # ------------------------------------------------------------------
     # storage and eviction
     # ------------------------------------------------------------------
     def _load_pickle(self, path: Path):
@@ -297,11 +267,7 @@ class AuditCache:
         return path
 
     def _entry_paths(self) -> list[Path]:
-        pickles = list(self._directory.glob("*.pkl"))
-        worlds = self._directory / _WORLDS_SUBDIR
-        if worlds.exists():
-            pickles.extend(worlds.glob("*.pkl"))
-        return pickles
+        return list(self._directory.glob("*.pkl"))
 
     @staticmethod
     def _stat_or_none(path: Path):
@@ -333,8 +299,7 @@ class AuditCache:
         ``_evict`` only sees ``*.pkl``, so without the sweep a crash
         leak would never be reclaimed.
         """
-        for directory in (self._directory, self._directory / _WORLDS_SUBDIR):
-            sweep_stale_tmp_files(directory)
+        sweep_stale_tmp_files(self._directory)
 
     def _evict(self, keep: Path) -> None:
         """Drop least-recently-used entries until under ``max_bytes``.

@@ -10,25 +10,37 @@ seed:
    expanded into CAF street addresses spread over disjoint CBGs with
    the Figure 1c size distribution, certified through the HUBB portal,
    and funded in the disbursement ledger.
-3. **Ground truth (Q1/Q2)** — per-address service truth drawn from the
-   calibrated ISP profiles.
-4. **Q3 structure** — in the seven Q3 states, every CAF census block
-   gets non-CAF (Zillow) neighbors, a competition classification
-   (monopoly-only / cable overlap / non-BQT provider present), Form 477
-   and National Broadband Map records, and block-coherent incumbent
-   speeds at non-CAF addresses whose relation to the block's CAF
-   average follows the paper's Figure 4a/5a outcome shares.
-5. **Websites** — the six BQT storefront simulators wired to truth.
+3. **Q3 classification** — in the seven Q3 states, every CAF census
+   block gets a competition classification (monopoly-only / cable
+   overlap / non-BQT provider present) and its Form 477 and National
+   Broadband Map records.
+4. **Websites** — the six BQT storefront simulators wired to truth.
+
+Everything else is a memoized cell of :class:`WorldCells`, built on
+first lookup rather than by ``build_world``:
+
+* **Ground truth (Q1/Q2)** — a CAF address outside the Q3 states is its
+  own cell: its service truth drawn from the calibrated ISP profile.
+* **Q3 structure** — a Q3 ``(isp, block)`` is one cell: the block's CAF
+  truths, then competition spillover and plan homogenization, non-CAF
+  (Zillow) neighbors, and block-coherent incumbent (and cable) speeds
+  at those neighbors whose relation to the block's CAF average follows
+  the paper's Figure 4a/5a outcome shares.
+
+Every cell replays its own ``stable_rng`` streams, so a world's values
+do not depend on which cells were looked up, or in what order; a
+forked process-pool worker builds only the cells its shards query.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
-from repro.addresses.generator import AddressGenerator
+from repro.addresses.generator import AddressGenerator, parse_address_id
 from repro.addresses.models import StreetAddress
 from repro.addresses.zillow import ZillowFeed
 from repro.bqt.engine import BqtEngine, EngineConfig
@@ -65,7 +77,7 @@ from repro.usac.generator import certified_speed_for
 from repro.usac.hubb import CertificationBatch, HubbPortal
 from repro.usac.schema import DeploymentRecord
 
-__all__ = ["World", "BlockCompetition", "build_world"]
+__all__ = ["World", "BlockCompetition", "WorldCells", "build_world"]
 
 CABLE_ISPS = ("xfinity", "spectrum")
 
@@ -91,7 +103,11 @@ class BlockCompetition:
 
 @dataclass
 class World:
-    """Everything the data-collection pipeline runs against."""
+    """Everything the data-collection pipeline runs against.
+
+    ``ground_truth`` and ``zillow`` are lazy views over the world's
+    :class:`WorldCells`: each cell is built on its first lookup.
+    """
 
     config: ScenarioConfig
     geographies: dict[str, StateGeography]
@@ -255,7 +271,7 @@ def _certify_state_isp(
 
 
 # ----------------------------------------------------------------------
-# Pass 4: Q3 block-coherent structure
+# Q3 classification (eager) and block-coherent structure (per cell)
 # ----------------------------------------------------------------------
 
 def _delta_sampler(median: float, p80: float):
@@ -329,32 +345,87 @@ def _incumbent_plan(
 
 
 def _block_caf_average(
-    truth: GroundTruth, isp_id: str, addresses: list[StreetAddress]
+    truth: dict[tuple[str, str], ServiceTruth],
+    isp_id: str,
+    addresses: list[StreetAddress],
 ) -> float:
     """Average advertised (marketing) speed over served CAF addresses."""
     speeds = []
     for address in addresses:
-        state = truth.truth_for(isp_id, address.address_id)
+        state = truth[(isp_id, address.address_id)]
         best = state.best_plan
         if state.serves and best is not None:
             speeds.append(best.download_mbps)
     return float(np.mean(speeds)) if speeds else 0.0
 
 
-def _apply_q3_structure(
+def _record_availability(
+    competition: BlockCompetition,
+    form477: Form477,
+    broadband_map: BroadbandMap,
+) -> None:
+    """File one Q3 block's Form 477 and Broadband Map records."""
+    isp_id = competition.incumbent_isp_id
+    block_geoid = competition.block_geoid
+    incumbent_profile = profile_for(isp_id)
+    form477.add(AvailabilityRecord(
+        isp_id=isp_id,
+        block_geoid=block_geoid,
+        technology=incumbent_profile.info.primary_technology,
+        max_download_mbps=100.0,
+        max_upload_mbps=10.0,
+    ))
+    providers = [isp_id]
+    if competition.cable_isp_id is not None:
+        form477.add(AvailabilityRecord(
+            isp_id=competition.cable_isp_id,
+            block_geoid=block_geoid,
+            technology="cable",
+            max_download_mbps=1200.0,
+            max_upload_mbps=35.0,
+        ))
+        providers.append(competition.cable_isp_id)
+    if competition.kind == "non_bqt":
+        form477.add(AvailabilityRecord(
+            isp_id="smallisp-000",
+            block_geoid=block_geoid,
+            technology="fixed_wireless",
+            max_download_mbps=25.0,
+            max_upload_mbps=3.0,
+        ))
+        providers.append("smallisp-000")
+    broadband_map.add(FabricRecord(
+        location_id=f"fabric-{block_geoid}",
+        block_geoid=block_geoid,
+        provider_ids=tuple(providers),
+    ))
+
+
+def _q3_cell(
     config: ScenarioConfig,
-    state_abbr: str,
     isp_id: str,
     block: CensusBlock,
     caf_here: list[StreetAddress],
-    truth: GroundTruth,
+    block_groups: dict[str, BlockGroup],
     address_factory: AddressGenerator,
-    form477: Form477,
-    broadband_map: BroadbandMap,
-) -> tuple[BlockCompetition, list[StreetAddress]]:
-    """Build one Q3 block: classify, add neighbors, set coherent truth."""
+) -> tuple[dict[tuple[str, str], ServiceTruth], list[StreetAddress]]:
+    """Build one Q3 block: CAF truth, neighbors, coherent truth.
+
+    Returns the cell's truths (the incumbent's at every CAF address, in
+    ``caf_here`` order, then whatever it sets at the neighbors, in the
+    order it sets them) and its Zillow neighbors. The block's ``q3`` stream is replayed from
+    its start, re-drawing the classification ``build_world`` made, so
+    every later draw is the one an uninterrupted pass would make.
+    """
     rng = stable_rng(config.seed, "q3", isp_id, block.geoid)
     competition = _classify_block(isp_id, block, rng)
+    profile = PROFILES[isp_id]
+    truth = {
+        (isp_id, address.address_id): sample_service_truth(
+            profile, address, block_groups[address.block_group_geoid],
+            config.seed)
+        for address in caf_here
+    }
 
     # Non-CAF (Zillow) neighbors.
     low, high = config.non_caf_fraction_range
@@ -366,57 +437,23 @@ def _apply_q3_structure(
         block, non_caf_count, is_caf=False, namespace="zillow"
     )
 
-    # Availability datasets.
-    incumbent_profile = profile_for(isp_id)
-    form477.add(AvailabilityRecord(
-        isp_id=isp_id,
-        block_geoid=block.geoid,
-        technology=incumbent_profile.info.primary_technology,
-        max_download_mbps=100.0,
-        max_upload_mbps=10.0,
-    ))
-    providers = [isp_id]
-    if competition.cable_isp_id is not None:
-        form477.add(AvailabilityRecord(
-            isp_id=competition.cable_isp_id,
-            block_geoid=block.geoid,
-            technology="cable",
-            max_download_mbps=1200.0,
-            max_upload_mbps=35.0,
-        ))
-        providers.append(competition.cable_isp_id)
-    if competition.kind == "non_bqt":
-        form477.add(AvailabilityRecord(
-            isp_id="smallisp-000",
-            block_geoid=block.geoid,
-            technology="fixed_wireless",
-            max_download_mbps=25.0,
-            max_upload_mbps=3.0,
-        ))
-        providers.append("smallisp-000")
-    broadband_map.add(FabricRecord(
-        location_id=f"fabric-{block.geoid}",
-        block_geoid=block.geoid,
-        provider_ids=tuple(providers),
-    ))
-
     if competition.kind == "non_bqt":
         # Filtered out of Q3; neighbors exist but get no special truth.
-        return competition, neighbors
+        return truth, neighbors
 
     # Competition spillover (Figure 6): in a share of overlap blocks the
     # incumbent upgrades its CAF plant well beyond Type A levels.
     if competition.kind.startswith("overlap") and rng.random() < 0.35:
         boost_speed = float(rng.uniform(100.0, 300.0))
         for address in caf_here:
-            state = truth.truth_for(isp_id, address.address_id)
+            state = truth[(isp_id, address.address_id)]
             if state.serves and state.plans:
-                truth.set_truth(isp_id, address.address_id, ServiceTruth(
+                truth[(isp_id, address.address_id)] = ServiceTruth(
                     serves=True,
                     plans=(_incumbent_plan(isp_id, boost_speed, rng),),
                     existing_subscriber=state.existing_subscriber,
                     tier_label=_incumbent_plan(isp_id, boost_speed, rng).tier_label,
-                ))
+                )
 
     # Homogenize the incumbent's plans across the block's served CAF
     # addresses: a real storefront offers one plan set per plant
@@ -425,21 +462,21 @@ def _apply_q3_structure(
     # block average drift with query dropouts and ties dissolve.
     representative: tuple[BroadbandPlan, ...] | None = None
     for address in caf_here:
-        state = truth.truth_for(isp_id, address.address_id)
+        state = truth[(isp_id, address.address_id)]
         if state.serves and state.plans:
             representative = state.plans
             break
     if representative is not None:
         for address in caf_here:
-            state = truth.truth_for(isp_id, address.address_id)
+            state = truth[(isp_id, address.address_id)]
             if state.serves and state.plans and state.plans != representative:
                 best = max(representative, key=lambda p: p.download_mbps)
-                truth.set_truth(isp_id, address.address_id, ServiceTruth(
+                truth[(isp_id, address.address_id)] = ServiceTruth(
                     serves=True,
                     plans=representative,
                     existing_subscriber=state.existing_subscriber,
                     tier_label=best.tier_label,
-                ))
+                )
 
     caf_average = _block_caf_average(truth, isp_id, caf_here)
     if caf_average <= 0:
@@ -478,9 +515,9 @@ def _apply_q3_structure(
             best = plan
         for address in mode_addresses:
             if rng.random() < 0.92:
-                truth.set_truth(isp_id, address.address_id, ServiceTruth(
+                truth[(isp_id, address.address_id)] = ServiceTruth(
                     serves=True, plans=plans, tier_label=best.tier_label,
-                ))
+                )
             # else: the incumbent does not serve this neighbor.
         if mode == "competition" and competition.cable_isp_id is not None:
             cable_profile = profile_for(competition.cable_isp_id)
@@ -493,12 +530,116 @@ def _apply_q3_structure(
                     label = cable_profile.sample_tier_label(cable_rng)
                     cable_plan = cable_profile.make_plan(label, cable_rng)
                     if cable_plan is not None:
-                        truth.set_truth(
-                            competition.cable_isp_id, address.address_id,
+                        truth[(competition.cable_isp_id, address.address_id)] = \
                             ServiceTruth(serves=True, plans=(cable_plan,),
-                                         tier_label=cable_plan.tier_label),
-                        )
-    return competition, neighbors
+                                         tier_label=cable_plan.tier_label)
+    return truth, neighbors
+
+
+# ----------------------------------------------------------------------
+# Lazy cells: ground truth and Q3 structure
+# ----------------------------------------------------------------------
+
+class WorldCells:
+    """The cell index behind a world's lazy truth and Zillow feed.
+
+    Cells are memoized, each built on its first lookup:
+
+    * a CAF address outside the Q3 states is one cell, keyed by its
+      certifying ISP and itself;
+    * a Q3 block is one cell (:func:`_q3_cell`); it owns every pair on
+      every address in the block.
+
+    A cell is computed into a local map and published to
+    :attr:`truth` (and its neighbors to :attr:`zillow`) in one update,
+    so a reader never sees a CAF truth before its Q3 override. Two
+    threads racing on one cell compute and publish the same values.
+    :meth:`realize_all` materializes the rest and seals both views in
+    the order an all-at-once build produces, whatever was realized
+    first. Plain data and no closures, so it pickles with its world.
+    """
+
+    def __init__(
+        self,
+        config: ScenarioConfig,
+        address_factory: AddressGenerator,
+        block_groups: dict[str, BlockGroup],
+        blocks: dict[str, CensusBlock],
+        caf_addresses: dict[str, StreetAddress],
+        caf_by_isp_state: dict[tuple[str, str], list[StreetAddress]],
+        incumbents: dict[str, str],
+        caf_by_block: dict[str, list[StreetAddress]],
+    ) -> None:
+        self._config = config
+        self._address_factory = address_factory
+        self._block_groups = block_groups
+        self._blocks = blocks
+        self._caf_addresses = caf_addresses
+        self._caf_by_isp_state = caf_by_isp_state
+        # Q3 block → incumbent, in sorted (isp, block) order.
+        self._incumbents = incumbents
+        self._caf_by_block = caf_by_block
+        self._pending = set(incumbents)
+        # Realized Q3 block → the pairs it set at its neighbors, in order.
+        self._neighbor_pairs: dict[str, tuple[tuple[str, str], ...]] = {}
+        self.truth = GroundTruth(cells=self)
+        self.zillow = ZillowFeed(cells=self)
+
+    def realize_pair(self, isp_id: str, address_id: str) -> None:
+        """Materialize the cell that owns ``(isp_id, address_id)``."""
+        parsed = parse_address_id(address_id)
+        if parsed is None:
+            return
+        namespace, block_geoid = parsed
+        if block_geoid in self._pending:
+            self.realize_block(block_geoid)
+            return
+        address = self._caf_addresses.get(address_id)
+        if address is not None and namespace == f"caf-{isp_id}":
+            # Q3-state CAF pairs are set with their block, so a miss
+            # here is a per-address cell outside the Q3 states.
+            self.truth.publish(
+                {(isp_id, address_id): self._caf_truth(isp_id, address)})
+
+    def _caf_truth(self, isp_id: str, address: StreetAddress) -> ServiceTruth:
+        return sample_service_truth(
+            PROFILES[isp_id], address,
+            self._block_groups[address.block_group_geoid], self._config.seed)
+
+    def realize_block(self, block_geoid: str) -> None:
+        """Materialize one Q3 block (a no-op for any other block)."""
+        if block_geoid not in self._pending:
+            return
+        caf_here = self._caf_by_block[block_geoid]
+        truth, neighbors = _q3_cell(
+            self._config, self._incumbents[block_geoid],
+            self._blocks[block_geoid], caf_here,
+            self._block_groups, self._address_factory)
+        self._neighbor_pairs[block_geoid] = tuple(
+            islice(truth, len(caf_here), None))
+        self.truth.publish(truth)
+        self.zillow.publish(block_geoid, neighbors)
+        self._pending.discard(block_geoid)
+
+    def realize_all(self) -> None:
+        """Materialize every cell, then seal both views canonically:
+        CAF truths in certification order, then each Q3 block's
+        neighbor truths and addresses in sorted (isp, block) order."""
+        for block_geoid in self._incumbents:
+            self.realize_block(block_geoid)
+        caf_pairs: list[tuple[str, str]] = []
+        missing: dict[tuple[str, str], ServiceTruth] = {}
+        for (isp_id, _state), addresses in self._caf_by_isp_state.items():
+            for address in addresses:
+                pair = (isp_id, address.address_id)
+                caf_pairs.append(pair)
+                if pair not in self.truth:
+                    missing[pair] = self._caf_truth(isp_id, address)
+        self.truth.publish(missing)
+        self.truth.seal(chain(caf_pairs, *(
+            self._neighbor_pairs[block_geoid]
+            for block_geoid in self._incumbents)))
+        self.zillow.seal(self._incumbents)
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +647,8 @@ def _apply_q3_structure(
 # ----------------------------------------------------------------------
 
 def build_world(config: ScenarioConfig | None = None) -> World:
-    """Build the full synthetic universe for a scenario."""
+    """Build the synthetic universe for a scenario (truth and Q3
+    structure materialize per cell, on first lookup)."""
     config = config or ScenarioConfig()
     address_factory = AddressGenerator(seed=config.seed)
     geographies: dict[str, StateGeography] = {}
@@ -547,47 +689,39 @@ def build_world(config: ScenarioConfig | None = None) -> World:
             isp_id=isp_id, filing_year=2021, records=tuple(records),
         ))
 
-    # Pass 3: Q1/Q2 ground truth from profiles.
-    truth = GroundTruth()
-    for (isp_id, _state), addresses in caf_by_isp_state.items():
-        profile = PROFILES[isp_id]
-        for address in addresses:
-            block_group = block_groups[address.block_group_geoid]
-            truth.set_truth(
-                isp_id, address.address_id,
-                sample_service_truth(profile, address, block_group, config.seed),
-            )
-
-    # Pass 4: Q3 structure in the Q3 states.
-    form477 = Form477()
-    broadband_map = BroadbandMap()
-    zillow_addresses: list[StreetAddress] = []
-    block_competition: dict[str, BlockCompetition] = {}
-    caf_map = hubb.caf_map
-    caf_by_block: dict[tuple[str, str], list[StreetAddress]] = {}
+    # Pass 3: Q3 classification. A Q3 cell owns its whole block, which
+    # needs one incumbent per block (_build_state gives ISPs disjoint
+    # CBGs).
+    incumbent_of: dict[str, str] = {}
+    caf_by_block: dict[str, list[StreetAddress]] = {}
     for (isp_id, state_abbr), addresses in caf_by_isp_state.items():
         if state_abbr not in config.q3_states:
             continue
         for address in addresses:
-            caf_by_block.setdefault((isp_id, address.block_geoid), []).append(address)
-    for (isp_id, block_geoid) in sorted(caf_by_block):
-        block = blocks[block_geoid]
-        competition, neighbors = _apply_q3_structure(
-            config,
-            block_geoid[:2],
-            isp_id,
-            block,
-            caf_by_block[(isp_id, block_geoid)],
-            truth,
-            address_factory,
-            form477,
-            broadband_map,
-        )
+            block_geoid = address.block_geoid
+            if incumbent_of.setdefault(block_geoid, isp_id) != isp_id:
+                raise ValueError(
+                    f"Q3 block {block_geoid} has two incumbents: "
+                    f"{incumbent_of[block_geoid]} and {isp_id}")
+            caf_by_block.setdefault(block_geoid, []).append(address)
+    form477 = Form477()
+    broadband_map = BroadbandMap()
+    block_competition: dict[str, BlockCompetition] = {}
+    incumbents: dict[str, str] = {}
+    for isp_id, block_geoid in sorted(
+            (isp_id, block_geoid) for block_geoid, isp_id in incumbent_of.items()):
+        competition = _classify_block(
+            isp_id, blocks[block_geoid],
+            stable_rng(config.seed, "q3", isp_id, block_geoid))
+        _record_availability(competition, form477, broadband_map)
         block_competition[block_geoid] = competition
-        zillow_addresses.extend(neighbors)
+        incumbents[block_geoid] = isp_id
 
+    cells = WorldCells(config, address_factory, block_groups, blocks,
+                       caf_addresses, caf_by_isp_state, incumbents,
+                       caf_by_block)
     websites = {
-        isp_id: build_website(isp_id, truth, seed=config.seed)
+        isp_id: build_website(isp_id, cells.truth, seed=config.seed)
         for isp_id in ("att", "centurylink", "frontier", "consolidated",
                        "xfinity", "spectrum")
     }
@@ -601,8 +735,8 @@ def build_world(config: ScenarioConfig | None = None) -> World:
         ledger=ledger,
         caf_addresses=caf_addresses,
         caf_by_isp_state=caf_by_isp_state,
-        zillow=ZillowFeed(zillow_addresses),
-        ground_truth=truth,
+        zillow=cells.zillow,
+        ground_truth=cells.truth,
         form477=form477,
         broadband_map=broadband_map,
         block_competition=block_competition,

@@ -124,6 +124,17 @@ class TestDiskBackedRows:
         assert all(hits_or_misses)
         assert cold.hits > 0 and cold.misses == 0
 
+    def test_namespace_moves_with_the_code(self, world, monkeypatch):
+        """A row computed by different code must be a miss: the
+        namespace digests the ``repro`` sources."""
+        import repro.runtime.cache as result_cache
+
+        campaign = PanelCampaign(world, model=SPARSE, horizons=(1, 2),
+                                 **SUBSET)
+        before = row_cache_for(campaign).namespace
+        monkeypatch.setattr(result_cache, "_code_digest", lambda: "0" * 64)
+        assert row_cache_for(campaign).namespace != before
+
     def test_damaged_row_file_is_a_miss(self, world, tmp_path,
                                         panel_outcomes):
         campaign = PanelCampaign(world, model=SPARSE, horizons=(1,),

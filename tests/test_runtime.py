@@ -539,7 +539,7 @@ class TestCodeFingerprint:
 
 
 class TestWorldCacheSplit:
-    """The world build is content-addressed separately from the audit."""
+    """The world digest (the autotune plan key) is policy-blind."""
 
     def test_world_digest_ignores_policy(self, tiny_config):
         from repro.core.sampling import SamplingPolicy
@@ -553,42 +553,6 @@ class TestWorldCacheSplit:
         a = audit_digest(tiny_config, SamplingPolicy(min_samples=30), ("att",))
         b = audit_digest(tiny_config, SamplingPolicy(min_samples=10), ("att",))
         assert a != b
-
-    def test_world_roundtrip(self, world, tmp_path):
-        from repro.runtime import world_digest
-
-        cache = AuditCache(tmp_path)
-        digest = world_digest(world.config)
-        assert cache.get_world(digest) is None
-        cache.put_world(digest, world)
-        assert cache.world_entries() == [digest]
-        restored = cache.get_world(digest)
-        assert restored.config == world.config
-        assert len(restored.caf_addresses) == len(world.caf_addresses)
-
-    def test_policy_sweep_shares_one_world_build(
-            self, world, tmp_path, monkeypatch):
-        from repro.core.sampling import SamplingPolicy
-
-        config = RuntimeConfig(shards=2, backend="serial",
-                               cache_dir=str(tmp_path))
-        run_full_audit(scenario=world.config, parallel=config,
-                       policy=SamplingPolicy(min_samples=30))
-
-        # Second policy: audit cache misses, but the world must come
-        # from the cache — building one again would blow up.
-        import repro.core.pipeline as pipeline_module
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("world rebuilt despite cached build")
-
-        monkeypatch.setattr(pipeline_module, "build_world", forbidden)
-        report = run_full_audit(scenario=world.config, parallel=config,
-                                policy=SamplingPolicy(min_samples=10))
-        assert report.collection.log
-        cache = AuditCache(tmp_path)
-        assert len(cache.world_entries()) == 1
-        assert len(cache.entries()) == 2  # one audit per policy
 
 
 class TestCacheEviction:
@@ -618,23 +582,6 @@ class TestCacheEviction:
         # refreshed it, and the just-written entry is never evicted.
         assert set(cache.entries()) == {first, third}
         assert cache.get(second) is None
-
-    def test_eviction_spans_worlds_and_audits(self, world, report, tmp_path):
-        import time
-
-        from repro.runtime import world_digest
-
-        probe = AuditCache(tmp_path)
-        self._put(probe, report, "att")
-        audit_bytes = probe.total_bytes()
-
-        cache = AuditCache(tmp_path, max_bytes=audit_bytes)
-        time.sleep(0.02)
-        cache.put_world(world_digest(world.config), world)
-        # The world write pushed the total over the bound, so the
-        # older audit entry was evicted to make room.
-        assert cache.entries() == []
-        assert len(cache.world_entries()) == 1
 
     def test_stale_tmp_files_swept_on_eviction(self, report, tmp_path):
         import os
@@ -783,6 +730,20 @@ class TestPoolWorldHandoff:
             **SUBSET)
         assert canonical_logbook_bytes(*pooled) == serial_bytes
         assert gc.get_freeze_count() == frozen_before == 0
+
+    @pytest.mark.skipif(
+        executor_module._pool_context().get_start_method() != "fork",
+        reason="only forked workers share the coordinator's world")
+    def test_coordinator_world_stays_cold(self, tiny_config):
+        """Forked workers build the cells their shards query; the
+        coordinator, which only plans and merges, builds none."""
+        from repro.synth.world import build_world
+
+        world = build_world(tiny_config)
+        execute_campaign(
+            world, RuntimeConfig(shards=4, workers=2, backend="process"))
+        assert world.ground_truth._truths == {}
+        assert world.zillow._by_id == {}
 
     def test_spawned_workers_unpickle_the_world(self, world, serial_bytes,
                                                 monkeypatch):

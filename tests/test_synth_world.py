@@ -188,3 +188,45 @@ def test_tiny_world_bytes_are_pinned(world):
     also pins its type: a numpy scalar would repr differently."""
     assert world.config.seed == 0
     assert world_bytes_sha256(world) == TINY_WORLD_SHA256
+
+
+class TestLazyWorld:
+    """Truth and Q3 blocks materialize per cell, on first lookup; what a
+    world holds must not depend on which cells were looked up first."""
+
+    @pytest.fixture
+    def fresh(self, tiny_config):
+        return build_world(tiny_config)
+
+    def test_lookup_order_leaves_every_value_and_order(self, tiny_config,
+                                                      fresh):
+        from repro.runtime.executor import run_shard
+        from repro.runtime.shards import plan_shards
+
+        world = build_world(tiny_config)
+        spec = plan_shards(world, 4)[3]
+        run_shard(world.config, spec, world=world)
+        for block_geoid in list(world.block_competition)[::-1][:5]:
+            world.zillow.non_caf_in_block(block_geoid)
+            competition = world.block_competition[block_geoid]
+            for address in world.caf_addresses_in_block(
+                    competition.incumbent_isp_id, block_geoid):
+                world.ground_truth.truth_for(competition.incumbent_isp_id,
+                                             address.address_id)
+
+        assert world_bytes_sha256(world) == TINY_WORLD_SHA256
+        assert list(world.ground_truth.pairs()) == \
+            list(fresh.ground_truth.pairs())
+        assert len(world.ground_truth) == len(fresh.ground_truth)
+        assert world.zillow.blocks() == fresh.zillow.blocks()
+
+    def test_partial_world_pickles_and_finishes(self, fresh):
+        import pickle
+
+        block_geoid = next(iter(fresh.block_competition))
+        fresh.zillow.in_block(block_geoid)
+        address = next(iter(fresh.caf_addresses.values()))
+        fresh.ground_truth.truth_for("att", address.address_id)
+
+        loaded = pickle.loads(pickle.dumps(fresh))
+        assert world_bytes_sha256(loaded) == TINY_WORLD_SHA256
